@@ -4,12 +4,17 @@ Everything is computed in exact arithmetic over the Gaussian rationals
 QQ(i); predicates return witnesses, searches return certificates.
 """
 
-from .deriv import Derivation, DerivationError, QuotientDerivation, derivation
+from .deriv import (
+    Derivation,
+    DerivationError,
+    QuotientDerivation,
+    derivation,
+    exact_derivation,
+    is_delta_ideal,
+)
 from .ore import (
     SkewPoly,
-    StabilityCheck,
     commutator,
-    extended_ideal_stable,
     quantize,
     semiclassical_bracket,
     specialize_classical,
@@ -33,6 +38,7 @@ from .poisson import (
     jacobi_sum,
 )
 from .polycore import (
+    Check,
     GaussRat,
     GREVLEX,
     I,
@@ -62,7 +68,6 @@ from .spectra import (
     image_solvable,
     invariance_equations,
     irreducible_factors,
-    is_delta_ideal,
     is_irreducible,
     shamsuddin_simple,
     singular_locus,

@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from .deriv import Derivation, DerivationError
+from .deriv import Derivation, DerivationError, exact_derivation
 from .ore import SkewPoly, commutator, quantize, semiclassical_bracket
 from .parser import ParseError, parse_poly
 from .poisson import (
@@ -23,9 +23,16 @@ from .poisson import (
     hamiltonian,
     is_poisson_triple,
 )
-from .polycore import IdealPres, Poly, SolutionFamily, canonical_ring, order_by_tag
+from .polycore import (
+    IdealPres,
+    Poly,
+    SolutionFamily,
+    canonical_ring,
+    order_by_tag,
+    render_coeff,
+)
 from .polycore.poly import render
-from .registry import load_registry
+from .registry import basis_set, load_registry
 from .spectra import (
     classify_delta_spectrum,
     classify_exact_spectrum,
@@ -33,7 +40,6 @@ from .spectra import (
     delta_core,
     gamma_map,
     image_solvable,
-    render_value,
     shamsuddin_simple,
     singular_locus,
 )
@@ -135,7 +141,7 @@ def _cmd_jacobi(args) -> int:
     structure = _structure(args)
     triple = structure if isinstance(structure, PoissonTriple) else structure.as_triple()
     check = is_poisson_triple(triple)
-    residual = _show(args, check.residual)
+    residual = _show(args, check.residue)
     text = "jacobi holds" if check else f"residual: {residual}"
     _emit({"poisson": bool(check), "residual": residual}, text, args.json)
     return 0 if check else 1
@@ -254,7 +260,7 @@ def _cmd_singular(args) -> int:
     locus = singular_locus(structure)
     basis = list(locus.ideal.basis_strings(_order(args)))
     points = [
-        {v: render_value(pt[v]) for v in sorted(pt)} for pt in locus.points
+        {v: render_coeff(pt[v]) for v in sorted(pt)} for pt in locus.points
     ]
     payload = {"basis": basis, "resolved": locus.resolved, "points": points}
     lines = [f"ideal: ({', '.join(basis) or '0'})"]
@@ -279,10 +285,8 @@ def _cmd_image_solve(args) -> int:
 
 def _classification(args):
     if getattr(args, "exact", None):
-        ring = canonical_ring(("x", "y"))
-        a = parse_poly(args.exact, ring)
-        delta = Derivation(ring, {"x": a.partial("y"), "y": -a.partial("x")})
-        return classify_exact_spectrum(a), delta
+        a = parse_poly(args.exact, canonical_ring(("x", "y")))
+        return classify_exact_spectrum(a), exact_derivation(a)
     delta = _delta_from_spec(args.delta)
     return classify_delta_spectrum(delta, args.dmax), delta
 
@@ -330,13 +334,7 @@ def _cmd_example(args) -> int:
     reproduced = None
     expected = cfg.expected_basis_sets()
     if expected is not None:
-        from .registry import EXPECTED_RING
-
-        computed = set()
-        for entry in desc.entries:
-            gens = [g.embed(EXPECTED_RING) for g in entry.generators]
-            computed.add(frozenset(IdealPres(EXPECTED_RING, gens).basis_strings()))
-        reproduced = computed == expected
+        reproduced = {basis_set(entry.generators) for entry in desc.entries} == expected
     payload = {
         "name": cfg.name,
         "summary": cfg.summary,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .polycore import GaussRat, IdealPres, Poly
+from .polycore import Check, GaussRat, IdealPres, Poly
 from .polycore.poly import GREVLEX, MonomialOrder
 
 
@@ -70,12 +70,10 @@ class Derivation:
 
     def induced_on_quotient(self, ideal: IdealPres) -> "QuotientDerivation":
         """The derivation induced on ring/ideal; the ideal must be stable."""
-        from .spectra import is_delta_ideal
-
         check = is_delta_ideal(ideal, self)
         if not check:
             raise DerivationError(
-                f"ideal is not stable: d({check.generator!r}) has nonzero "
+                f"ideal is not stable: d({check.witness!r}) has nonzero "
                 f"normal form {check.residue!r}"
             )
         return QuotientDerivation(self, ideal)
@@ -111,3 +109,28 @@ class QuotientDerivation:
 
 def derivation(ring: tuple[str, ...], **images: Poly) -> Derivation:
     return Derivation(ring, images)
+
+
+def exact_derivation(a: Poly) -> Derivation:
+    """The bracket derivation x -> a_y, y -> -a_x of a potential a(x, y).
+
+    The first two ring variables play x and y; a itself is a constant
+    of the result.
+    """
+    x, y = a.ring[0], a.ring[1]
+    return Derivation(a.ring, {x: a.partial(y), y: -a.partial(x)})
+
+
+def is_delta_ideal(ideal: IdealPres, delta: Derivation) -> Check:
+    """Whether delta maps the ideal into itself; the witness is a generator.
+
+    The generator criterion suffices: delta(sum f_i g_i) lands in the
+    ideal as soon as every delta(g_i) does, by the product rule.  On
+    the Ore side, with delta the twist of A[z; delta], the same test
+    decides whether the extension of the ideal is two-sided:
+    z*g - g*z = delta(g) must land back in the extended ideal for every
+    generator g, and then the right ideal it generates is an ideal.
+    """
+    return ideal.contains_all(
+        (g, delta.apply(g.embed(delta.ring))) for g in ideal.generators
+    )

@@ -7,10 +7,8 @@ coefficients one step at a time; no closed form for z^n * d is assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .deriv import Derivation
-from .polycore import GaussRat, IdealPres, Poly, exact_divide
+from .polycore import GaussRat, Poly, exact_divide
 from .polycore.poly import render
 
 
@@ -140,30 +138,6 @@ class SkewPoly:
 
 def commutator(u: SkewPoly, v: SkewPoly) -> SkewPoly:
     return u * v - v * u
-
-
-@dataclass(frozen=True)
-class StabilityCheck:
-    ok: bool
-    generator: Poly | None = None
-    residue: Poly | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def extended_ideal_stable(ideal: IdealPres, twist: Derivation) -> StabilityCheck:
-    """Whether the extension of a twist-stable ideal is two-sided.
-
-    twist(g) in the ideal for every generator is exactly what makes
-    z * g - g * z land back in the extended ideal, so the right ideal it
-    generates is an ideal.
-    """
-    for g in ideal.generators:
-        residue = ideal.normal_form(twist.apply(g))
-        if residue:
-            return StabilityCheck(False, g, residue)
-    return StabilityCheck(True)
 
 
 # -- the one-parameter family over A[h] ------------------------------------

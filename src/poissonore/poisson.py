@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .deriv import Derivation
-from .polycore import GaussRat, IdealPres, Poly, exact_divide, gcd_poly
+from .polycore import Check, GaussRat, IdealPres, Poly, exact_divide, gcd_poly
 from .polycore.poly import GREVLEX
 
 TRIPLE_RING = ("x", "y", "z")
@@ -19,35 +19,6 @@ TRIPLE_RING = ("x", "y", "z")
 
 class NotPoissonError(ValueError):
     """Raised where a Poisson structure or Poisson ideal is required."""
-
-
-@dataclass(frozen=True)
-class TripleCheck:
-    residual: Poly
-
-    def __bool__(self) -> bool:
-        return self.residual.is_zero()
-
-
-@dataclass(frozen=True)
-class IdealCheck:
-    ok: bool
-    var: str | None = None
-    generator: Poly | None = None
-    residue: Poly | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-@dataclass(frozen=True)
-class PairCheck:
-    ok: bool
-    pair: tuple[str, str] | None = None
-    residue: Poly | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 class PoissonTriple:
@@ -103,15 +74,17 @@ def curl(triple: PoissonTriple) -> tuple[Poly, Poly, Poly]:
     )
 
 
-def is_poisson_triple(triple: PoissonTriple) -> TripleCheck:
+def is_poisson_triple(triple: PoissonTriple) -> Check:
     """Jacobi test: (f, g, h) . curl(f, g, h) must vanish.
 
-    The residual is -1 times the Jacobi sum on (x, y, z), so a zero
-    residual certifies the bracket and a nonzero one is the witness.
+    The residue is -1 times the Jacobi sum on (x, y, z), so a zero
+    residue certifies the bracket and a nonzero one is the obstruction;
+    it is kept on success too, and the witness of a failure is the
+    coordinate triple.
     """
     c = curl(triple)
     residual = sum((a * b for a, b in zip(triple.components(), c)), Poly.zero(TRIPLE_RING))
-    return TripleCheck(residual)
+    return Check(not residual, TRIPLE_RING if residual else None, residual)
 
 
 class DeltaBracket:
@@ -163,9 +136,6 @@ class DeltaBracket:
 
     def __repr__(self):
         return f"<z-bracket of {self.delta!r}>"
-
-
-Structure = "PoissonTriple | DeltaBracket"
 
 
 def hamiltonian(structure, a: Poly) -> Derivation:
@@ -226,43 +196,38 @@ def jacobi_sum(structure, p: Poly, q: Poly, r: Poly) -> Poly:
     return b(p, b(q, r)) + b(q, b(r, p)) + b(r, b(p, q))
 
 
-def is_poisson_ideal(structure, ideal: IdealPres) -> IdealCheck:
+def is_poisson_ideal(structure, ideal: IdealPres) -> Check:
     """Whether {B, I} is contained in I, checked on generator pairs.
 
     Both bracket slots are derivations, so vanishing of the normal form
     of {v, g} for ring variables v and ideal generators g decides the
-    full condition.
+    full condition; the witness of a failure is the pair (v, g).
     """
     ring = structure.ring
-    for v in ring:
-        pv = Poly.var(ring, v)
-        for g in ideal.generators:
-            residue = ideal.normal_form(structure.bracket(pv, g))
-            if residue:
-                return IdealCheck(False, v, g, residue)
-    return IdealCheck(True)
+    return ideal.contains_all(
+        ((v, g), structure.bracket(Poly.var(ring, v), g))
+        for v in ring
+        for g in ideal.generators
+    )
 
 
-def is_residually_null(structure, ideal: IdealPres) -> PairCheck:
-    """Whether the induced bracket on B/I is zero.
+def is_residually_null(structure, ideal: IdealPres) -> Check:
+    """Whether the induced bracket on B/I is zero; the witness is a variable pair.
 
     Non-Poisson ideals are a caller error and raise NotPoissonError.
     """
     check = is_poisson_ideal(structure, ideal)
     if not check:
+        v, g = check.witness
         raise NotPoissonError(
-            f"not a Poisson ideal: {{{check.var}, {check.generator!r}}} "
-            f"reduces to {check.residue!r}"
+            f"not a Poisson ideal: {{{v}, {g!r}}} reduces to {check.residue!r}"
         )
     ring = structure.ring
-    for i, v in enumerate(ring):
-        for w in ring[i + 1 :]:
-            residue = ideal.normal_form(
-                structure.bracket(Poly.var(ring, v), Poly.var(ring, w))
-            )
-            if residue:
-                return PairCheck(False, (v, w), residue)
-    return PairCheck(True)
+    return ideal.contains_all(
+        ((v, w), structure.bracket(Poly.var(ring, v), Poly.var(ring, w)))
+        for i, v in enumerate(ring)
+        for w in ring[i + 1 :]
+    )
 
 
 def commutator_ideal(structure) -> IdealPres:

@@ -1,6 +1,6 @@
 """Exact commutative substrate: scalars, polynomials, gcd, Groebner bases."""
 
-from .scalars import GaussRat, I, ONE, ZERO, gauss_sqrt
+from .scalars import GaussRat, I, ONE, ZERO, gauss_sqrt, render_coeff
 from .poly import (
     GREVLEX,
     LEX,
@@ -11,10 +11,9 @@ from .poly import (
     exact_divide,
     order_by_tag,
     render,
-    render_coeff,
 )
 from .gcd import gcd_poly
-from .groebner import IdealPres, groebner_basis, normal_form, reduce_full
+from .groebner import Check, IdealPres, groebner_basis, normal_form, reduce_full
 from .linsolve import kernel_basis, rref, solve_linear
 from .solve import SolutionFamily, solve_system, univariate_roots
 
@@ -35,6 +34,7 @@ __all__ = [
     "render",
     "render_coeff",
     "gcd_poly",
+    "Check",
     "IdealPres",
     "groebner_basis",
     "normal_form",

@@ -10,6 +10,7 @@ run.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .poly import (
@@ -108,6 +109,23 @@ def groebner_basis(gens: Sequence[Poly], order: MonomialOrder = GREVLEX) -> list
     return autoreduce(buchberger(gens, order), order)
 
 
+@dataclass(frozen=True)
+class Check:
+    """Outcome of a finite criterion: truthy iff ok.
+
+    On failure, witness names what failed (a generator, a pair, a
+    triple) and residue is its nonzero normal form; the Jacobi test
+    keeps its residual here on success too.
+    """
+
+    ok: bool
+    witness: object = None
+    residue: Poly | None = None
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
 class IdealPres:
     """An ideal of a polynomial ring, given by generators.
 
@@ -146,6 +164,18 @@ class IdealPres:
 
     def contains_poly(self, p: Poly, order: MonomialOrder = GREVLEX) -> bool:
         return self.normal_form(p, order).is_zero()
+
+    def contains_all(self, pairs: Iterable[tuple[object, Poly]]) -> Check:
+        """Whether every polynomial of the (witness, polynomial) pairs is a member.
+
+        The pairs are consumed lazily and the scan stops at the first
+        nonzero grevlex normal form, which the failed Check carries.
+        """
+        for witness, p in pairs:
+            residue = self.normal_form(p)
+            if residue:
+                return Check(False, witness, residue)
+        return Check(True)
 
     def contains_ideal(self, other: "IdealPres", order: MonomialOrder = GREVLEX) -> bool:
         return all(self.contains_poly(g, order) for g in other.generators)

@@ -43,9 +43,6 @@ def solve_linear(
     n = len(rows[0])
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
     red, pivots = rref(aug)
-    for i, row in enumerate(red):
-        if all(not v for v in row[:n]) and row[n]:
-            return None
     x = [ZERO] * n
     for i, c in enumerate(pivots):
         if c == n:

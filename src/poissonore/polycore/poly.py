@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-from .scalars import GaussRat, ONE, ZERO
+from .scalars import GaussRat, ONE, ZERO, render_coeff
 
 Expvec = tuple[int, ...]
 Coeff = Union[GaussRat, int, Fraction]
@@ -399,35 +399,6 @@ def exact_divide(p: Poly, d: Poly, order: MonomialOrder = GREVLEX) -> Poly | Non
 # -- canonical rendering ------------------------------------------------------
 
 
-def _fmt_fraction(f: Fraction) -> str:
-    return str(f)
-
-
-def _fmt_coeff_parts(c: GaussRat) -> str:
-    """Body of a coefficient, without a leading sign decision."""
-    if c.is_real():
-        return _fmt_fraction(c.re)
-    if not c.re:
-        if c.im == 1:
-            return "i"
-        if c.im == -1:
-            return "-i"
-        return f"{_fmt_fraction(c.im)}*i"
-    re = _fmt_fraction(c.re)
-    if c.im == 1:
-        im = "i"
-    elif c.im == -1:
-        im = "-i"
-    else:
-        im = f"{_fmt_fraction(c.im)}*i"
-    joiner = "" if im.startswith("-") else "+"
-    return f"({re}{joiner}{im})"
-
-
-def render_coeff(c: GaussRat) -> str:
-    return _fmt_coeff_parts(c)
-
-
 def _mono_str(ring: tuple[str, ...], e: Expvec) -> str:
     parts = []
     for v, x in zip(ring, e):
@@ -449,7 +420,7 @@ def render(p: Poly, order: MonomialOrder = GREVLEX) -> str:
     chunks: list[str] = []
     for e, c in p.sorted_terms(order):
         mono = _mono_str(p.ring, e)
-        body = _fmt_coeff_parts(c)
+        body = render_coeff(c)
         if mono:
             if c == 1:
                 body = mono
@@ -461,8 +432,6 @@ def render(p: Poly, order: MonomialOrder = GREVLEX) -> str:
             chunks.append(body)
         elif body.startswith("-") and not body.startswith("-("):
             chunks.append(f" - {body[1:]}")
-        elif body.startswith("("):
-            chunks.append(f" + {body}")
         else:
             chunks.append(f" + {body}")
     return "".join(chunks)

@@ -124,17 +124,25 @@ class GaussRat:
         return (self.re, self.im)
 
     def __repr__(self) -> str:
-        if not self.im:
-            return str(self.re)
-        if self.im == 1:
-            im = "i"
-        elif self.im == -1:
-            im = "-i"
-        else:
-            im = f"{self.im}*i"
-        if not self.re:
-            return im
-        return f"({self.re}{'' if im.startswith('-') else '+'}{im})"
+        return render_coeff(self)
+
+
+def render_coeff(c: GaussRat) -> str:
+    """Canonical text of a scalar: 2/3, -i, 2*i, (1-i), (-1/2+3*i).
+
+    Mixed values are parenthesized so they can multiply a monomial.
+    """
+    if not c.im:
+        return str(c.re)
+    if c.im == 1:
+        im = "i"
+    elif c.im == -1:
+        im = "-i"
+    else:
+        im = f"{c.im}*i"
+    if not c.re:
+        return im
+    return f"({c.re}{'' if im.startswith('-') else '+'}{im})"
 
 
 ZERO = GaussRat(0)

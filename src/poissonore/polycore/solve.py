@@ -10,7 +10,7 @@ SolutionFamily; enumerating them as a list would be dishonest.
 
 from __future__ import annotations
 
-from math import isqrt
+from math import isqrt, lcm
 
 from .groebner import groebner_basis
 from .poly import LEX, Poly
@@ -69,6 +69,7 @@ def univariate_roots(coeffs: list[GaussRat]) -> list[GaussRat]:
     denominators and try every u/v with u, v Gaussian-integer divisors
     (by norm) of the trailing and leading coefficients.
     """
+    coeffs = list(coeffs)
     while coeffs and not coeffs[-1]:
         coeffs.pop()
     if not coeffs:
@@ -90,10 +91,7 @@ def univariate_roots(coeffs: list[GaussRat]) -> list[GaussRat]:
             roots.add((-b + s) / (2 * a))
             roots.add((-b - s) / (2 * a))
     else:
-        den = 1
-        for c in coeffs:
-            den = den * c.re.denominator // _gcd_int(den, c.re.denominator)
-            den = den * c.im.denominator // _gcd_int(den, c.im.denominator)
+        den = lcm(*(c.re.denominator for c in coeffs), *(c.im.denominator for c in coeffs))
         ints = [c * den for c in coeffs]
         for u in _candidate_gauss_divisors(ints[0]):
             for v in _candidate_gauss_divisors(ints[-1]):
@@ -104,12 +102,6 @@ def univariate_roots(coeffs: list[GaussRat]) -> list[GaussRat]:
                 if not acc:
                     roots.add(cand)
     return sorted(roots, key=GaussRat.sort_key)
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # -- system solving -----------------------------------------------------------

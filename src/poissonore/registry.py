@@ -8,17 +8,22 @@ bound, and optionally the expected spectrum as generator lists.
 from __future__ import annotations
 
 import configparser
-import io
 from dataclasses import dataclass
 from importlib import resources
+from typing import Iterable
 
-from .deriv import Derivation
+from .deriv import Derivation, exact_derivation
 from .parser import parse_poly
 from .poisson import DeltaBracket, PoissonTriple, TRIPLE_RING
-from .polycore import IdealPres, canonical_ring
+from .polycore import IdealPres, Poly, canonical_ring
 
 # Expected-spectrum strings may mention the fiber parameters.
 EXPECTED_RING = ("x", "y", "z", "alpha", "lambda")
+
+
+def basis_set(gens: Iterable[Poly]) -> frozenset[str]:
+    """An ideal as its set of reduced basis strings over EXPECTED_RING."""
+    return frozenset(IdealPres(EXPECTED_RING, gens).basis_strings())
 
 
 @dataclass(frozen=True)
@@ -40,9 +45,7 @@ class ExampleConfig:
                 {v: parse_poly(src, self.ring) for v, src in self.images},
             )
         if self.kind == "exact":
-            a = parse_poly(self.potential, self.ring)
-            x, y = self.ring[0], self.ring[1]
-            return Derivation(self.ring, {x: a.partial(y), y: -a.partial(x)})
+            return exact_derivation(parse_poly(self.potential, self.ring))
         raise ValueError(f"{self.name}: no derivation for kind {self.kind!r}")
 
     def structure(self):
@@ -55,11 +58,10 @@ class ExampleConfig:
         """Expected entries as reduced-basis string sets, for comparison."""
         if self.expected is None:
             return None
-        out = set()
-        for gens in self.expected:
-            polys = [parse_poly(g, EXPECTED_RING) for g in gens]
-            out.add(frozenset(IdealPres(EXPECTED_RING, polys).basis_strings()))
-        return out
+        return {
+            basis_set(parse_poly(g, EXPECTED_RING) for g in gens)
+            for gens in self.expected
+        }
 
 
 def _parse_entry(name: str, section) -> ExampleConfig:
@@ -104,23 +106,3 @@ def load_registry() -> dict[str, ExampleConfig]:
     text = resources.files("poissonore").joinpath("examples.cfg").read_text()
     return parse_registry(text)
 
-
-def dump_registry(configs: dict[str, ExampleConfig]) -> str:
-    cp = configparser.ConfigParser()
-    for name, cfg in configs.items():
-        section: dict[str, str] = {"kind": cfg.kind, "ring": " ".join(cfg.ring)}
-        for v, src in cfg.images:
-            section[f"delta.{v}"] = src
-        if cfg.triple is not None:
-            section["f"], section["g"], section["h"] = cfg.triple
-        if cfg.potential is not None:
-            section["potential"] = cfg.potential
-        section["dmax"] = str(cfg.dmax)
-        if cfg.expected is not None:
-            section["expected"] = " ; ".join(", ".join(g) for g in cfg.expected)
-        if cfg.summary:
-            section["summary"] = cfg.summary
-        cp[name] = section
-    buf = io.StringIO()
-    cp.write(buf)
-    return buf.getvalue()

@@ -10,14 +10,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .deriv import Derivation
+from .deriv import Derivation, exact_derivation, is_delta_ideal
 from .poisson import DeltaBracket, PoissonTriple, is_poisson_ideal
 from .polycore import (
     GaussRat,
     IdealPres,
+    ONE,
     Poly,
     SolutionFamily,
     exact_divide,
+    render_coeff,
     solve_linear,
     solve_system,
 )
@@ -30,55 +32,23 @@ DEFAULT_SAMPLES: tuple[GaussRat, ...] = (
 )
 
 
-# -- stability of a fixed ideal ---------------------------------------------
-
-
-@dataclass(frozen=True)
-class DeltaIdealCheck:
-    ok: bool
-    generator: Poly | None = None
-    residue: Poly | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def is_delta_ideal(ideal: IdealPres, delta: Derivation) -> DeltaIdealCheck:
-    """Whether delta maps the ideal into itself.
-
-    The generator criterion suffices: delta(sum f_i g_i) lands in the
-    ideal as soon as every delta(g_i) does, by the product rule.
-    """
-    for g in ideal.generators:
-        residue = ideal.normal_form(delta.apply(g.embed(delta.ring)))
-        if residue:
-            return DeltaIdealCheck(False, g, residue)
-    return DeltaIdealCheck(True)
-
-
 # -- monomial enumeration ----------------------------------------------------
+
+
+def monomials_of_degree(nvars: int, d: int) -> list[Expvec]:
+    """Exponent vectors of total degree d, grevlex-descending.
+
+    Within one degree grevlex descends by ascending last exponent, then
+    by the same rule on the remaining variables.
+    """
+    if nvars == 0:
+        return [()] if d == 0 else []
+    return [e + (k,) for k in range(d + 1) for e in monomials_of_degree(nvars - 1, d - k)]
 
 
 def monomials_upto(nvars: int, dmax: int) -> list[Expvec]:
     """Exponent vectors of total degree <= dmax, grevlex-descending."""
-    out: list[Expvec] = []
-
-    def rec(prefix: tuple[int, ...], left: int) -> None:
-        if len(prefix) == nvars - 1:
-            out.extend(prefix + (k,) for k in range(left + 1))
-            return
-        for k in range(left + 1):
-            rec(prefix + (k,), left - k)
-
-    if nvars == 0:
-        return [()] if dmax >= 0 else []
-    rec((), dmax)
-    out.sort(key=GREVLEX.key, reverse=True)
-    return out
-
-
-def monomials_of_degree(nvars: int, d: int) -> list[Expvec]:
-    return [e for e in monomials_upto(nvars, d) if sum(e) == d]
+    return [e for d in range(dmax, -1, -1) for e in monomials_of_degree(nvars, d)]
 
 
 # -- invariance equations -----------------------------------------------------
@@ -99,13 +69,6 @@ class EquationSystem:
     cofactor_template: Poly
     equations: tuple[tuple[Expvec, Poly], ...]
 
-    def equation_for(self, monomial: Poly) -> Poly:
-        e = _single_exponent(monomial)
-        for key, eq in self.equations:
-            if key == e:
-                return eq
-        return Poly.zero(self.unknown_ring)
-
     def solve(self) -> list[dict[str, GaussRat]]:
         return solve_system([eq for _, eq in self.equations], self.unknown_ring)
 
@@ -121,6 +84,26 @@ def _single_exponent(m: Poly) -> Expvec:
     if len(m.terms) != 1:
         raise ValueError(f"not a monomial: {m}")
     return next(iter(m.terms))
+
+
+def _template(
+    ring: tuple[str, ...], lead: Expvec | None, support: list[Expvec], first: int
+) -> Poly:
+    """lead + sum of u_k * support[k], u_k the variable at ring index first + k.
+
+    Exponents in support and lead cover a leading block of the ring.
+    The terms are kept in that order, lead first, so the equations built
+    from the template come out in a fixed order.
+    """
+    width = len(ring)
+    terms = {}
+    if lead is not None:
+        terms[lead + (0,) * (width - len(lead))] = ONE
+    for k, e in enumerate(support):
+        ex = list(e) + [0] * (width - len(e))
+        ex[first + k] = 1
+        terms[tuple(ex)] = ONE
+    return Poly(ring, terms)
 
 
 def _split_by_base(expr: Poly, nbase: int, unknown_ring: tuple[str, ...]):
@@ -146,19 +129,8 @@ def _build_invariance(
             raise ValueError(f"base ring shadows unknown {v}")
     unknown_ring = u_names + w_names
     big = base + unknown_ring
-    pad = (0,) * len(unknown_ring)
-
-    def unk(name: str) -> Poly:
-        return Poly.var(big, name)
-
-    q = Poly.zero(big)
-    if lead is not None:
-        q = Poly(big, {lead + pad: GaussRat.coerce(1)})
-    for name, e in zip(u_names, q_exps):
-        q = q + Poly(big, {e + pad: GaussRat.coerce(1)}) * unk(name)
-    w = Poly.zero(big)
-    for name, e in zip(w_names, w_exps):
-        w = w + Poly(big, {e + pad: GaussRat.coerce(1)}) * unk(name)
+    q = _template(big, lead, q_exps, n)
+    w = _template(big, None, w_exps, n + len(u_names))
 
     lifted = Derivation(
         big,
@@ -203,9 +175,6 @@ def invariance_equations(
 class DarbouxCertificate:
     q: Poly
     cofactor: Poly
-
-    def __iter__(self):
-        return iter((self.q, self.cofactor))
 
 
 def verify_cofactor(delta: Derivation, q: Poly) -> Poly | None:
@@ -401,8 +370,7 @@ def shamsuddin_simple(a: Poly, b: Poly, c: Poly | None = None) -> ShamsuddinVerd
             if not ratio.im and ratio.re.denominator == 1 and ratio.re > 0:
                 candidates.append(int(ratio.re))
     candidates.append(db - dc + 1)
-    bound = max(k for k in candidates)
-    bound = max(bound, 0)
+    bound = max(candidates)
 
     ca, cb, cc = _univar_coeffs(a), _univar_coeffs(b), _univar_coeffs(c)
     zero = GaussRat.coerce(0)
@@ -489,13 +457,8 @@ def factorizations(q: Poly) -> list[tuple[Poly, Poly]]:
         v_names = tuple(f"v{k}" for k in range(len(v_sup)))
         unknown_ring = u_names + v_names
         big = q.ring + unknown_ring
-        pad = (0,) * len(unknown_ring)
-        u = Poly(big, {eu + pad: GaussRat.coerce(1)})
-        for name, e in zip(u_names, u_sup):
-            u = u + Poly(big, {e + pad: GaussRat.coerce(1)}) * Poly.var(big, name)
-        v = Poly(big, {ev + pad: GaussRat.coerce(1)})
-        for name, e in zip(v_names, v_sup):
-            v = v + Poly(big, {e + pad: GaussRat.coerce(1)}) * Poly.var(big, name)
+        u = _template(big, eu, u_sup, n)
+        v = _template(big, ev, v_sup, n + len(u_sup))
         expr = u * v - q.embed(big)
         eqs = list(_split_by_base(expr, n, unknown_ring).values())
         for sol in solve_system(eqs, unknown_ring):
@@ -630,16 +593,12 @@ class SpectrumDescription:
         return "\n".join(lines)
 
 
-def _point_entries(
-    ring: tuple[str, ...],
-    points: tuple[dict[str, GaussRat], ...],
-    jac_basis: tuple[str, ...],
-) -> list[SpectrumEntry]:
+def _point_entries(ring: tuple[str, ...], locus: SingularLocus) -> list[SpectrumEntry]:
     out = []
     fiber_ring = ring + ("z", "alpha")
-    for pt in points:
+    cert = (("vanishing-ideal-basis", "; ".join(locus.ideal.basis_strings())),)
+    for pt in locus.points:
         gens = tuple(Poly.var(ring, v) - Poly.constant(ring, pt[v]) for v in ring)
-        cert = (("vanishing-ideal-basis", "; ".join(jac_basis)),)
         out.append(SpectrumEntry("point", ring, gens, (), cert))
         fgens = tuple(g.embed(fiber_ring) for g in gens) + (
             Poly.var(fiber_ring, "z") - Poly.var(fiber_ring, "alpha"),
@@ -696,9 +655,7 @@ def classify_delta_spectrum(delta: Derivation, dmax: int) -> SpectrumDescription
         )
     locus = singular_locus(delta)
     if locus.resolved:
-        entries.extend(
-            _point_entries(ring, locus.points, locus.ideal.basis_strings())
-        )
+        entries.extend(_point_entries(ring, locus))
     else:
         notes.append("singular locus is positive-dimensional; point entries unresolved")
     if notes:
@@ -720,8 +677,7 @@ def classify_exact_spectrum(
     ring = a.ring
     if a.total_degree() < 1:
         raise ValueError("constant potential gives the zero bracket")
-    ax, ay = a.partial(ring[0]), a.partial(ring[1])
-    delta = Derivation(ring, {ring[0]: ay, ring[1]: -ax})
+    delta = exact_derivation(a)
     if delta.apply(a):
         raise ArithmeticError("potential is not conserved")
 
@@ -754,7 +710,7 @@ def classify_exact_spectrum(
                     (),
                     (
                         ("cofactor", render(cof)),
-                        ("fiber", render_value(lam)),
+                        ("fiber", render_coeff(lam)),
                         ("irreducible", "no splitting over QQ(i)"),
                     ),
                 )
@@ -762,18 +718,11 @@ def classify_exact_spectrum(
     locus = singular_locus(delta)
     completeness = "complete; fiber factorizations spelled out at sampled levels"
     if locus.resolved:
-        jac = IdealPres(ring, [ax, ay])
-        entries.extend(_point_entries(ring, locus.points, jac.basis_strings()))
+        entries.extend(_point_entries(ring, locus))
     else:
         completeness = "point entries unresolved (positive-dimensional critical locus)"
     entries.sort(key=SpectrumEntry.sort_key)
     return SpectrumDescription("poisson", completeness, tuple(entries), None)
-
-
-def render_value(c: GaussRat) -> str:
-    from .polycore.poly import render_coeff
-
-    return render_coeff(c)
 
 
 # -- moving between the two sides ------------------------------------------------------
@@ -801,23 +750,20 @@ def gamma_map(
     db = DeltaBracket(delta)
     bracket_ring = db.bracket_ring
     dz = delta.extend_zero("z")
+    verified = "twist-stability" if target == "ore" else "bracket-closure"
     out = []
     for entry in desc.entries:
         for gens in entry.instances(samples):
             ideal = _instance_ideal(gens, bracket_ring)
             if target == "ore":
                 check = is_delta_ideal(ideal, dz)
-                if not check:
-                    raise ArithmeticError(
-                        f"{entry.kind} entry is not twist-stable: {render(check.generator)}"
-                    )
             else:
-                check2 = is_poisson_ideal(db, ideal)
-                if not check2:
-                    raise ArithmeticError(
-                        f"{entry.kind} entry is not bracket-closed"
-                    )
-        verified = "twist-stability" if target == "ore" else "bracket-closure"
+                check = is_poisson_ideal(db, ideal)
+            if not check:
+                raise ArithmeticError(
+                    f"{entry.kind} entry fails {verified}: {check.witness!r} "
+                    f"leaves the residue {check.residue!r}"
+                )
         out.append(
             SpectrumEntry(
                 entry.kind,
@@ -839,10 +785,7 @@ def spectrum_inclusions(
     """Pairs (i, j) with entry i strictly inside entry j on all sampled instances."""
     bracket_ring = base_ring + ("z",)
     instantiated = [
-        [
-            IdealPres(bracket_ring, [g.embed(bracket_ring) for g in gens])
-            for gens in e.instances(samples)
-        ]
+        [_instance_ideal(gens, bracket_ring) for gens in e.instances(samples)]
         for e in desc.entries
     ]
     out = []

@@ -14,7 +14,7 @@ from poissonore import (
     SkewPoly,
     commutator,
     derivation,
-    extended_ideal_stable,
+    is_delta_ideal,
     parse_poly,
     quantize,
     render,
@@ -144,9 +144,9 @@ def test_extended_ideal_stable():
     dz = d.extend_zero("z")
     ring = dz.ring
     good = IdealPres(ring, [parse_poly("y^2 + x + 1", ring)])
-    check = extended_ideal_stable(good, dz)
+    check = is_delta_ideal(good, dz)
     assert check
     bad = IdealPres(ring, [parse_poly("x", ring)])
-    check = extended_ideal_stable(bad, dz)
+    check = is_delta_ideal(bad, dz)
     assert not check
-    assert check.generator is not None and check.residue is not None
+    assert check.witness is not None and check.residue is not None

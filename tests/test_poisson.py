@@ -49,7 +49,7 @@ def test_triple_bracket_is_determined_by_components():
 def test_jacobi_residual_frozen():
     check = is_poisson_triple(PoissonTriple(Y, Z, X))
     assert not check
-    assert render(check.residual) == "-x - y - z"
+    assert render(check.residue) == "-x - y - z"
 
 
 def test_residual_is_curl_pairing():
@@ -64,7 +64,7 @@ def test_residual_is_curl_pairing():
         pairing = sum(
             (a * b for a, b in zip(t.components(), c)), Poly.zero(TRIPLE_RING)
         )
-        assert is_poisson_triple(t).residual == pairing
+        assert is_poisson_triple(t).residue == pairing
         # residual is -1 times the Jacobi sum on the coordinates
         assert pairing == -jacobi_sum(t, X, Y, Z)
 

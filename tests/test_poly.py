@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -149,6 +150,16 @@ def test_render_frozen():
     assert render(X * (GaussRat.coerce(1) / 2)) == "1/2*x"
     half_plus_3i = GaussRat(1, 0) / 2 + I * 3
     assert render(Poly.constant(RING, half_plus_3i) * X) == "(1/2+3*i)*x"
+    cases = [
+        (-I, "-i"),
+        (GaussRat(0, Fraction(-2, 3)), "-2/3*i"),
+        (GaussRat(1, -1), "(1-i)"),
+        (GaussRat(Fraction(-1, 2), 3), "(-1/2+3*i)"),
+    ]
+    for c, text in cases:
+        assert repr(c) == text
+        assert render(Poly.constant(RING, c)) == text
+        assert render(Poly.constant(RING, c) * X) == f"{text}*x"
 
 
 def test_render_respects_order():

@@ -1,9 +1,9 @@
-"""Registry loading, round-tripping, and expected-spectrum parsing."""
+"""Registry loading and expected-spectrum parsing."""
 
 from __future__ import annotations
 
 from poissonore import DeltaBracket, IdealPres, load_registry, parse_poly
-from poissonore.registry import EXPECTED_RING, dump_registry, parse_registry
+from poissonore.registry import EXPECTED_RING
 
 EXPECTED_NAMES = {
     "weyl",
@@ -36,12 +36,6 @@ def test_every_entry_builds():
             d = cfg.derivation()
             assert set(d.images) <= set(d.ring)
         assert cfg.summary
-
-
-def test_round_trip():
-    registry = load_registry()
-    again = parse_registry(dump_registry(registry))
-    assert again == registry
 
 
 def test_expected_basis_sets_gwj():

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from conftest import rand_gauss
-from poissonore import GaussRat, I, Poly, SolutionFamily
+from poissonore import GaussRat, I, ONE, Poly, SolutionFamily, ZERO
 from poissonore.polycore import solve_linear, solve_system, univariate_roots
 
 RING = ("x", "y")
@@ -31,6 +31,12 @@ def test_univariate_roots_complete_over_gaussians():
     roots = univariate_roots(_coeff_list((x - 1) ** 2 * (x + 2)))
     assert set(roots) == {GaussRat(1), GaussRat(-2)}
     assert univariate_roots(_coeff_list(x * 2 + 3)) == [GaussRat.coerce(-3) / 2]
+
+
+def test_univariate_roots_leaves_its_argument():
+    c = [GaussRat(-1), ZERO, ONE, ZERO]
+    assert univariate_roots(c) == [GaussRat(-1), ONE]
+    assert c == [GaussRat(-1), ZERO, ONE, ZERO]
 
 
 def test_univariate_roots_random_products():

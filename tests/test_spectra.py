@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -32,6 +33,8 @@ from poissonore import (
     spectrum_inclusions,
     verify_cofactor,
 )
+from poissonore.polycore import GREVLEX
+from poissonore.spectra import monomials_of_degree, monomials_upto
 
 BASE = ("x", "y")
 
@@ -52,6 +55,15 @@ def test_verify_cofactor():
         verify_cofactor(d, Poly.zero(BASE))
 
 
+def test_monomial_enumeration_matches_brute_force():
+    for n in range(4):
+        for d in range(6):
+            box = itertools.product(range(d + 1), repeat=n)
+            upto = sorted((e for e in box if sum(e) <= d), key=GREVLEX.key, reverse=True)
+            assert monomials_upto(n, d) == upto
+            assert monomials_of_degree(n, d) == [e for e in upto if sum(e) == d]
+
+
 def test_invariance_equations_frozen_weyl():
     ring = ("x",)
     d = derivation(ring, x=Poly.one(ring))
@@ -59,8 +71,9 @@ def test_invariance_equations_frozen_weyl():
     one = Poly.one(ring)
     system = invariance_equations(d, [x, one], [one], lead=x)
     # q = x + u0, w = w0; the x coefficient of d(q) - w q is -w0
-    assert render(system.equation_for(x)) == "-w0"
-    assert render(system.equation_for(one)) == "-u0*w0 + 1"
+    equations = dict(system.equations)
+    assert render(equations[(1,)]) == "-w0"
+    assert render(equations[(0,)]) == "-u0*w0 + 1"
     assert system.solve() == []
 
 
@@ -295,13 +308,15 @@ def test_gamma_map_rejects_unstable_entries():
     from poissonore.spectra import SpectrumEntry, SpectrumDescription
 
     d = _gwj()
-    bogus = SpectrumDescription(
-        "ore",
-        "test",
-        (SpectrumEntry("principal", BASE, (Poly.var(BASE, "x"),)),),
-    )
-    with pytest.raises(ArithmeticError):
-        gamma_map(bogus, d)
+    for side, verified in (("ore", "bracket-closure"), ("poisson", "twist-stability")):
+        bogus = SpectrumDescription(
+            side,
+            "test",
+            (SpectrumEntry("principal", BASE, (Poly.var(BASE, "x"),)),),
+        )
+        # both directions name the failing generator x and its residue 2*y
+        with pytest.raises(ArithmeticError, match=rf"fails {verified}: .*x.* residue 2\*y"):
+            gamma_map(bogus, d)
 
 
 def test_spectrum_inclusions_gwj():
