@@ -1,8 +1,9 @@
 """Command-line frontend.
 
 Exit codes: 0 success, 1 mathematical negative (failed check, empty
-solve, unresolved locus), 2 usage or parse errors.  All diagnostics go
-to stderr; --json output is deterministic for golden-file comparison.
+solve, unresolved locus), 2 usage, parse or input-file errors.  All
+diagnostics go to stderr; --json output is deterministic for
+golden-file comparison.
 """
 
 from __future__ import annotations
@@ -63,7 +64,10 @@ def _parse_assignments(spec: str, what: str) -> list[tuple[str, str]]:
         if "=" not in chunk:
             raise ParseError(f"{what} item {chunk!r} is not name=expr", 0)
         name, expr = chunk.split("=", 1)
-        out.append((name.strip(), expr.strip()))
+        name = name.strip()
+        if any(name == seen for seen, _ in out):
+            raise ParseError(f"{what} names {name!r} twice", 0)
+        out.append((name, expr.strip()))
     return out
 
 
@@ -440,7 +444,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (DerivationError, ValueError) as exc:
+    except (DerivationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SolutionFamily as exc:

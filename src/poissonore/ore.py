@@ -8,7 +8,7 @@ coefficients one step at a time; no closed form for z^n * d is assumed.
 from __future__ import annotations
 
 from .deriv import Derivation
-from .polycore import GaussRat, Poly, exact_divide
+from .polycore import GaussRat, Poly
 from .polycore.poly import render
 
 
@@ -152,48 +152,49 @@ def quantize(delta: Derivation) -> Derivation:
 
 
 def unquantize(twist: Derivation) -> Derivation:
-    """Recover delta on the h-free base from a twist of the form h*delta."""
+    """Recover delta on the h-free base from a twist of the form h*delta.
+
+    h divides twist(v) exactly when twist(v) has no h^0 stratum, and
+    then delta(v) = twist(v)/h at h = 0 is its h^1 stratum.
+    """
     if "h" not in twist.ring:
         raise ValueError("twist does not involve h")
     if twist.image("h"):
         raise ValueError("h is not a constant of the twist")
     base = tuple(v for v in twist.ring if v != "h")
-    h = Poly.var(twist.ring, "h")
     images = {}
     for v in base:
-        q = exact_divide(twist.image(v), h)
-        if q is None:
+        strata = twist.image(v).strata("h")
+        if 0 in strata:
             raise ValueError(f"twist({v}) is not divisible by h")
-        images[v] = q.substitute("h", 0)
+        images[v] = strata.get(1, Poly.zero(base))
     return Derivation(base, images)
 
 
 def semiclassical_bracket(u: SkewPoly, v: SkewPoly) -> Poly:
     """(1/h) [u, v] at h = 0, read as a commutative polynomial in z.
 
-    The twist must be h*delta; then commutators are exactly divisible
-    by h, and the quotient at h = 0 is the z-bracket of the images of u
-    and v in the commutative specialization.
+    The twist must be h*delta; then every commutator coefficient has
+    no h^0 stratum, its quotient by h at h = 0 is its h^1 stratum, and
+    these strata form the z-bracket of the images of u and v in the
+    commutative specialization.
     """
     unquantize(u.twist)  # validates the twist shape
     w = commutator(u, v)
     base = tuple(v2 for v2 in u.twist.ring if v2 != "h")
     ring = base + ("z",)
-    h = Poly.var(u.twist.ring, "h")
     strata = {}
     for k, c in enumerate(w.coeffs):
-        if c.is_zero():
-            continue
-        q = exact_divide(c, h)
-        if q is None:
+        hs = c.strata("h")
+        if 0 in hs:
             raise ArithmeticError("commutator coefficient not divisible by h")
-        strata[k] = q.substitute("h", 0)
+        strata[k] = hs.get(1, Poly.zero(base))
     return Poly.from_strata(ring, "z", strata)
 
 
 def specialize_classical(u: SkewPoly) -> Poly:
-    """Image of u at h = 0 with z commutative."""
+    """Image of u at h = 0 with z commutative: the h^0 strata of its coefficients."""
     base = tuple(v for v in u.twist.ring if v != "h")
     ring = base + ("z",)
-    strata = {k: c.substitute("h", 0) for k, c in enumerate(u.coeffs)}
+    strata = {k: c.strata("h").get(0, Poly.zero(base)) for k, c in enumerate(u.coeffs)}
     return Poly.from_strata(ring, "z", strata)

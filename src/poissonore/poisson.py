@@ -110,19 +110,19 @@ class DeltaBracket:
         """Bilinear extension of {a z^m, b z^n} = (m a d(b) - n b d(a)) z^(m+n-1)."""
         p = p.embed(self.bracket_ring)
         q = q.embed(self.bracket_ring)
-        d = self.delta
         ps = p.strata("z")
         qs = q.strata("z")
-        out = Poly.zero(self.bracket_ring)
-        z = Poly.var(self.bracket_ring, "z")
+        dps = {m: self.delta.apply(a) for m, a in ps.items()}
+        dqs = {n: self.delta.apply(b) for n, b in qs.items()}
+        strata: dict[int, Poly] = {}
         for m, a in ps.items():
             for n, b in qs.items():
                 if m == 0 and n == 0:
                     continue
-                lead = a * d.apply(b) * m - b * d.apply(a) * n
-                if lead:
-                    out = out + lead.embed(self.bracket_ring) * z ** (m + n - 1)
-        return out
+                lead = a * dqs[n] * m - b * dps[m] * n
+                k = m + n - 1
+                strata[k] = strata.get(k, Poly.zero(self.base_ring)) + lead
+        return Poly.from_strata(self.bracket_ring, "z", strata)
 
     def as_triple(self) -> PoissonTriple:
         """The same bracket as a triple; needs base ring inside (x, y)."""

@@ -3,9 +3,14 @@
 Reduced Groebner bases are the workhorse for every ideal question in
 this package: membership, equality, containment, elimination.  The
 implementation is the plain Buchberger loop with the normal selection
-strategy and the coprimality criterion; bases are fully autoreduced,
-monic, and sorted, so identical inputs give identical bases on every
-run.
+strategy and the coprimality criterion.  Its monic output is cut to a
+minimal basis, one element per minimal leading monomial, and each kept
+element is reduced once by the other kept elements with smaller leading
+monomials, the only ones that can divide its terms.  Reduction leaves
+every leading monomial in place, so this is the reduced basis, which is
+unique (Cox, Little, O'Shea, Ideals, Varieties, and Algorithms,
+Prop. 2.7.6); it is returned sorted by descending leading monomial, so
+identical ideals give identical bases on every run.
 """
 
 from __future__ import annotations
@@ -81,32 +86,21 @@ def buchberger(gens: Sequence[Poly], order: MonomialOrder = GREVLEX) -> list[Pol
     return basis
 
 
-def autoreduce(basis: Sequence[Poly], order: MonomialOrder = GREVLEX) -> list[Poly]:
-    work = [g for g in basis if g]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(work)):
-            g = work[i]
-            if not g:
-                continue
-            rest = [h for k, h in enumerate(work) if k != i and h]
-            r = reduce_full(g, rest, order)
-            if r != g:
-                work[i] = r
-                changed = True
-        work = [g for g in work if g]
-    out = sorted(
-        (g.monic(order) for g in work),
-        key=lambda g: order.key(g.leading_monomial(order)),
-        reverse=True,
-    )
-    return out
-
-
 def groebner_basis(gens: Sequence[Poly], order: MonomialOrder = GREVLEX) -> list[Poly]:
-    """The reduced Groebner basis of the ideal generated by gens."""
-    return autoreduce(buchberger(gens, order), order)
+    """The reduced Groebner basis of the ideal generated by gens.
+
+    The scan runs by ascending leading monomial, so a divisor of a
+    leading monomial is kept before it is met, and only the elements
+    kept before g, already reduced, have leading monomials that can
+    divide a term of g.
+    """
+    by_lm = sorted(buchberger(gens, order), key=lambda g: order.key(g.leading_monomial(order)))
+    reduced: list[Poly] = []
+    for g in by_lm:
+        lm = g.leading_monomial(order)
+        if not any(mono_divides(h.leading_monomial(order), lm) for h in reduced):
+            reduced.append(reduce_full(g, reduced, order))
+    return reduced[::-1]
 
 
 @dataclass(frozen=True)

@@ -101,6 +101,15 @@ def mono_lcm(a: Expvec, b: Expvec) -> Expvec:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
+def _add_term(out: dict[Expvec, GaussRat], e: Expvec, c: GaussRat) -> None:
+    """out[e] += c, dropping e when the sum cancels."""
+    s = out.get(e, ZERO) + c
+    if s:
+        out[e] = s
+    else:
+        out.pop(e, None)
+
+
 # -- polynomials -------------------------------------------------------
 
 
@@ -219,11 +228,7 @@ class Poly:
         self._check_ring(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, ZERO) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
+            _add_term(out, e, c)
         return Poly(self.ring, out)
 
     __radd__ = __add__
@@ -249,12 +254,7 @@ class Poly:
         out: dict[Expvec, GaussRat] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = mono_mul(e1, e2)
-                s = out.get(e, ZERO) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
+                _add_term(out, mono_mul(e1, e2), c1 * c2)
         return Poly(self.ring, out)
 
     __rmul__ = __mul__
@@ -324,15 +324,16 @@ class Poly:
             value = Poly.constant(ring2, value)
         else:
             value = value.embed(ring2)
-        out = Poly.zero(ring2)
+        out: dict[Expvec, GaussRat] = {}
         powers: dict[int, Poly] = {0: Poly.one(ring2)}
         for e, c in self.terms.items():
             k = e[i]
             if k not in powers:
                 powers[k] = value**k
-            rest = Poly(ring2, {e[:i] + e[i + 1 :]: c})
-            out = out + rest * powers[k]
-        return out
+            rest = e[:i] + e[i + 1 :]
+            for e2, c2 in powers[k].terms.items():
+                _add_term(out, mono_mul(rest, e2), c * c2)
+        return Poly(ring2, out)
 
     def evaluate(self, assignment: Mapping[str, GaussRat]) -> GaussRat:
         missing = [v for v in self.used_vars() if v not in assignment]
@@ -358,11 +359,13 @@ class Poly:
 
     @staticmethod
     def from_strata(ring: tuple[str, ...], name: str, strata: Mapping[int, "Poly"]) -> "Poly":
-        out = Poly.zero(ring)
-        v = Poly.var(ring, name)
+        """Sum of strata[k] * name^k; a stratum may use name itself."""
+        i = ring.index(name)
+        out: dict[Expvec, GaussRat] = {}
         for k, coeff in strata.items():
-            out = out + coeff.embed(ring) * v**k
-        return out
+            for e, c in coeff.embed(ring).terms.items():
+                _add_term(out, e[:i] + (e[i] + k,) + e[i + 1 :], c)
+        return Poly(ring, out)
 
     # -- rendering ----------------------------------------------------------
 

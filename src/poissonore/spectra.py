@@ -193,6 +193,8 @@ def darboux_search(delta: Derivation, dmax: int) -> list[DarbouxCertificate]:
     count.  Raises SolutionFamily when a stratum carries infinitely many
     solutions.
     """
+    if dmax < 0:
+        raise ValueError(f"negative degree bound {dmax}")
     base = delta.ring
     n = len(base)
     wd = max(delta.max_image_degree() - 1, 0)
@@ -236,9 +238,8 @@ def singular_locus(structure) -> SingularLocus:
     bracket triple (vanishing of all three components).
     """
     if isinstance(structure, DeltaBracket):
-        ring = structure.delta.ring
-        gens = [structure.delta.image(v) for v in ring]
-    elif isinstance(structure, Derivation):
+        structure = structure.delta
+    if isinstance(structure, Derivation):
         ring = structure.ring
         gens = [structure.image(v) for v in ring]
     elif isinstance(structure, PoissonTriple):
@@ -264,16 +265,6 @@ class CoreResult:
     iterations: int
 
 
-def _rename_positions(p: Poly, keep: list[int], ring: tuple[str, ...]) -> Poly:
-    out: dict[Expvec, GaussRat] = {}
-    for e, c in p.terms.items():
-        for i, x in enumerate(e):
-            if x and i not in keep:
-                raise ValueError("polynomial uses an eliminated variable")
-        out[tuple(e[i] for i in keep)] = c
-    return Poly(ring, out)
-
-
 def _stable_step(ideal: IdealPres, delta: Derivation) -> IdealPres:
     """{a in I : delta(a) in I} by eliminating the graph of a -> a + t*delta(a).
 
@@ -296,9 +287,8 @@ def _stable_step(ideal: IdealPres, delta: Derivation) -> IdealPres:
         )
     basis = IdealPres(big, gens).basis(BlockElim(head))
     keep_names = set(outs)
-    keep_pos = [big.index(o) for o in outs]
     kept = [
-        _rename_positions(g, keep_pos, base)
+        Poly(base, g.embed(outs).terms)
         for g in basis
         if set(g.used_vars()) <= keep_names
     ]
@@ -313,6 +303,8 @@ def delta_core(ideal: IdealPres, delta: Derivation, max_iter: int = 8) -> CoreRe
     can strictly descend forever, in which case the last iterate is an
     upper bound and exact is False.
     """
+    if max_iter < 0:
+        raise ValueError(f"negative iteration bound {max_iter}")
     current = ideal
     for k in range(1, max_iter + 1):
         nxt = _stable_step(current, delta)
@@ -320,6 +312,37 @@ def delta_core(ideal: IdealPres, delta: Derivation, max_iter: int = 8) -> CoreRe
             return CoreResult(current, True, k)
         current = nxt
     return CoreResult(current, False, max_iter)
+
+
+# -- linear preimages ------------------------------------------------------------------
+
+
+def _solve_linear_map(op, columns: list[Poly], target: Poly) -> Poly | None:
+    """A combination p of the columns with op(p) = target, or None; op is linear.
+
+    Each row is the coefficient of one monomial of the images or the
+    target; free unknowns are set to zero, and the answer is rechecked.
+    """
+    images = [op(col) for col in columns]
+    row_exps = sorted(
+        {e for im in images for e in im.terms} | set(target.terms),
+        key=GREVLEX.key,
+        reverse=True,
+    )
+    zero = GaussRat.coerce(0)
+    index = {e: i for i, e in enumerate(row_exps)}
+    rows = [[zero] * len(columns) for _ in row_exps]
+    for j, im in enumerate(images):
+        for e, cf in im.terms.items():
+            rows[index[e]][j] = cf
+    rhs = [target.terms.get(e, zero) for e in row_exps]
+    solution = solve_linear(rows, rhs)
+    if solution is None:
+        return None
+    p = sum((col * cf for col, cf in zip(columns, solution)), Poly.zero(target.ring))
+    if op(p) != target:
+        raise ArithmeticError("linear solve verification failed")
+    return p
 
 
 # -- simplicity of y' = a y + b extensions ------------------------------------------
@@ -334,13 +357,6 @@ class ShamsuddinVerdict:
 
     def __bool__(self) -> bool:
         return self.simple
-
-
-def _univar_coeffs(p: Poly) -> list[GaussRat]:
-    out = [GaussRat.coerce(0)] * (p.total_degree() + 1)
-    for e, c in p.terms.items():
-        out[sum(e)] = c
-    return out
 
 
 def shamsuddin_simple(a: Poly, b: Poly, c: Poly | None = None) -> ShamsuddinVerdict:
@@ -372,27 +388,14 @@ def shamsuddin_simple(a: Poly, b: Poly, c: Poly | None = None) -> ShamsuddinVerd
     candidates.append(db - dc + 1)
     bound = max(candidates)
 
-    ca, cb, cc = _univar_coeffs(a), _univar_coeffs(b), _univar_coeffs(c)
-    zero = GaussRat.coerce(0)
-    nrows = max(dc + bound, da + bound + 1, db + 1, 1)
-    rows = [[zero] * (bound + 1) for _ in range(nrows)]
-    for j in range(bound + 1):
-        if j >= 1:
-            for k, ck in enumerate(cc):
-                rows[k + j - 1][j] = rows[k + j - 1][j] + ck * j
-        for k, ak in enumerate(ca):
-            rows[k + j][j] = rows[k + j][j] - ak
-    rhs = [cb[k] if k < len(cb) else zero for k in range(nrows)]
-    solution = solve_linear(rows, rhs)
+    x = ring[0]
+    columns = [Poly.monomial(ring, {x: j}) for j in range(bound + 1)]
+    witness = _solve_linear_map(lambda r: c * r.partial(x) - a * r, columns, b)
 
     if dc >= 1:
-        witness = None
-        if solution is not None:
-            witness = Poly(ring, {(k,): v for k, v in enumerate(solution)})
         return ShamsuddinVerdict(False, witness, bound, "nonconstant c leaves (c) stable")
-    if solution is None:
+    if witness is None:
         return ShamsuddinVerdict(True, None, bound, "no polynomial r solves c*r' = a*r + b")
-    witness = Poly(ring, {(k,): v for k, v in enumerate(solution)})
     return ShamsuddinVerdict(False, witness, bound, "y - r spans a stable ideal")
 
 
@@ -401,29 +404,11 @@ def shamsuddin_simple(a: Poly, b: Poly, c: Poly | None = None) -> ShamsuddinVerd
 
 def image_solvable(delta: Derivation, target: Poly, dmax: int) -> Poly | None:
     """A polynomial p of degree <= dmax with delta(p) = target, or None."""
+    if dmax < 0:
+        raise ValueError(f"negative degree bound {dmax}")
     ring = delta.ring
-    target = target.embed(ring)
-    cols = monomials_upto(len(ring), dmax)
-    images = [delta.apply(Poly(ring, {e: GaussRat.coerce(1)})) for e in cols]
-    row_exps = sorted(
-        {e for im in images for e in im.terms} | set(target.terms),
-        key=GREVLEX.key,
-        reverse=True,
-    )
-    zero = GaussRat.coerce(0)
-    index = {e: i for i, e in enumerate(row_exps)}
-    rows = [[zero] * len(cols) for _ in row_exps]
-    for j, im in enumerate(images):
-        for e, cf in im.terms.items():
-            rows[index[e]][j] = cf
-    rhs = [target.terms.get(e, zero) for e in row_exps]
-    solution = solve_linear(rows, rhs)
-    if solution is None:
-        return None
-    p = Poly(ring, {e: cf for e, cf in zip(cols, solution)})
-    if delta.apply(p) != target:
-        raise ArithmeticError("image solve verification failed")
-    return p
+    columns = [Poly(ring, {e: ONE}) for e in monomials_upto(len(ring), dmax)]
+    return _solve_linear_map(delta.apply, columns, target.embed(ring))
 
 
 # -- factorization over QQ(i) -----------------------------------------------------------

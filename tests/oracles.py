@@ -3,7 +3,8 @@
 Nothing here may call the code path it checks: bracket expansion goes
 through the bivector formula instead of the z-strata closed form,
 ideal membership goes through bounded linear algebra instead of basis
-reduction, and the stable-curve search goes through sympy's solver.
+reduction, the stable-curve search goes through sympy's solver, and
+reduced Groebner bases come from sympy's groebner.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import itertools
 from fractions import Fraction
 
 from poissonore import Derivation, GaussRat, Poly, render
+from poissonore.polycore import MonomialOrder
 
 
 def bracket_by_biderivation(delta: Derivation, p: Poly, q: Poly) -> Poly:
@@ -173,3 +175,27 @@ def stable_curves_by_sympy(delta: Derivation, dmax: int) -> tuple[set[str], bool
                     terms[tuple(m)] = c
             found.add(render(Poly(ring, terms)))
     return found, family
+
+
+def groebner_by_sympy(gens: list[Poly], order: MonomialOrder) -> list[Poly]:
+    """The reduced basis of (gens) from sympy's groebner over QQ(i).
+
+    order must be grevlex or lex; each element is made monic in the
+    package's order, and the list is sorted by descending leading
+    monomial, the package's presentation.
+    """
+    import sympy
+
+    ring = gens[0].ring
+    symbols = {v: sympy.Symbol(v) for v in ring}
+    basis = sympy.groebner(
+        [_to_sympy(g, symbols) for g in gens],
+        *symbols.values(),
+        order=order.tag,
+        domain="QQ_I",
+    )
+    out = [
+        Poly(ring, {e: _gauss_from_sympy(c) for e, c in g.terms()}).monic(order)
+        for g in basis.polys
+    ]
+    return sorted(out, key=lambda g: order.key(g.leading_monomial(order)), reverse=True)

@@ -149,6 +149,37 @@ def test_parse_error_exit_code(capsys):
     assert code == 2
 
 
+def test_repeated_assignment_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "bracket", "--delta", "x=1,x=y,y=0", "x*z", "z")
+    assert (code, out) == (2, "")
+    assert "parse error" in err and "'x'" in err
+    code, out, err = run(capsys, "jacobi", "--triple", "f=x,g=y,h=0,f=z")
+    assert (code, out) == (2, "")
+    assert "parse error" in err and "'f'" in err
+
+
+def test_unreadable_file_is_a_usage_error(capsys, tmp_path):
+    missing = tmp_path / "missing.txt"
+    code, out, err = run(capsys, "bracket", "--delta", "x=1", "--file", str(missing))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "missing.txt" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--delta", "x=1", "--dmax", "-2"],
+        ["darboux", "--delta", "x=1", "--dmax", "-1"],
+        ["image-solve", "--delta", "x=1", "--dmax", "-1", "1"],
+        ["core", "--delta", "x=1", "--ideal", "x", "--max-iter", "-1"],
+    ],
+)
+def test_negative_bound_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: negative")
+
+
 def test_file_input(capsys, tmp_path):
     src = tmp_path / "exprs.txt"
     src.write_text("z\nx\n")

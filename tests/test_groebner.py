@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import random
 
-from conftest import rand_poly
+from conftest import rand_nonzero_poly, rand_poly
+from oracles import groebner_by_sympy
 from poissonore import IdealPres, Poly, normal_form, render
 from poissonore.polycore import BlockElim, GREVLEX, LEX, groebner_basis, reduce_full
 
@@ -103,3 +104,35 @@ def test_buchberger_closure_random():
         # random combinations stay members
         p = sum((rand_poly(rng, RING, 2, terms=2) * g for g in gens), Poly.zero(RING))
         assert ideal.contains_poly(p)
+
+
+def _trim(p: Poly, below=None, order=GREVLEX) -> Poly:
+    """p without its constant term, and without its terms at or above below."""
+    return Poly(
+        p.ring,
+        {
+            e: c
+            for e, c in p.terms.items()
+            if any(e) and (below is None or order.key(e) < order.key(below))
+        },
+    )
+
+
+def test_reduced_basis_matches_sympy():
+    # every generator vanishes at the origin, so no ideal is the unit ideal
+    rng = random.Random(403)
+    for k in range(18):
+        drawn = (rand_nonzero_poly(rng, RING, 3, terms=3, imag=True) for _ in range(2))
+        gens = [g for g in map(_trim, drawn) if g]
+        tail = rand_poly(rng, RING, 3, terms=3, imag=True)
+        lift = Poly.var(RING, rng.choice(RING))
+        for order in (GREVLEX, LEX):
+            ideal = list(gens)
+            # one more generator, with an equal or a divisible leading monomial
+            if k % 3 == 0:
+                lm = gens[0].leading_monomial(order)
+                ideal.append(gens[0] * 3 + _trim(tail, lm, order))
+            elif k % 3 == 1:
+                lm = (lift * gens[0]).leading_monomial(order)
+                ideal.append(lift * gens[0] + _trim(tail, lm, order))
+            assert groebner_basis(ideal, order) == groebner_by_sympy(ideal, order)

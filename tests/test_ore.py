@@ -110,9 +110,20 @@ def test_quantize_shape():
 def test_unquantize_rejects_bad_twists():
     d = _gwj()
     dh = d.extend_zero("h")
-    # not divisible by h
-    with pytest.raises(ValueError):
-        unquantize(dh)
+    h = Poly.var(dh.ring, "h")
+    # not divisible by h: no h^1 part, or an h^0 part beside one
+    mixed = dh.scale(h + 1)
+    for twist in (dh, mixed):
+        with pytest.raises(ValueError):
+            unquantize(twist)
+
+
+def test_unquantize_of_a_higher_h_power_is_zero():
+    dh = _gwj().extend_zero("h")
+    h = Poly.var(dh.ring, "h")
+    # h^2*delta has no h^1 stratum, so its limit at h = 0 vanishes
+    zero = Poly.zero(BASE)
+    assert unquantize(dh.scale(h * h)) == derivation(BASE, x=zero, y=zero)
 
 
 def test_semiclassical_matches_bracket():

@@ -116,6 +116,29 @@ def test_strata_roundtrip():
     assert Poly.from_strata(ring, "z", parts) == p
 
 
+def test_from_strata_shifts_the_variable_in_place():
+    ring = ("x", "z")
+    x, z = Poly.var(ring, "x"), Poly.var(ring, "z")
+    assert Poly.from_strata(ring, "z", {1: z}) == Poly(ring, {(0, 2): 1})
+    # (x + z) + z^2 * (z - 1) = x + z - z^2 + z^3
+    expected = Poly(ring, {(1, 0): 1, (0, 1): 1, (0, 2): -1, (0, 3): 1})
+    assert Poly.from_strata(ring, "z", {0: x + z, 2: z - 1}) == expected
+    assert Poly.from_strata(ring, "z", {0: z, 1: Poly.constant(ring, -1)}).is_zero()
+
+
+def test_substitute_multi_term_value_into_several_powers():
+    ry = ("y",)
+    # (y + 2)^2*y + 3*(y + 2) + y^3 = 2*y^3 + 4*y^2 + 7*y + 6
+    p = X ** 2 * Y + X * 3 + Y ** 3
+    expected = Poly(ry, {(3,): 2, (2,): 4, (1,): 7, (0,): 6})
+    assert p.substitute("x", Poly(ry, {(1,): 1, (0,): 2})) == expected
+    # (i*y + 1)^3 + (i*y + 1) + y = -i*y^3 - 3*y^2 + (1 + 4*i)*y + 2
+    value = Poly(ry, {(1,): I, (0,): 1})
+    expected = Poly(ry, {(3,): -I, (2,): -3, (1,): I * 4 + 1, (0,): 2})
+    assert (X ** 3 + X + Y).substitute("x", value) == expected
+    assert (X + Y).substitute("x", Poly(ry, {(1,): -1})).is_zero()
+
+
 def test_evaluate():
     p = X ** 2 + Y * I
     assert p.evaluate({"x": GaussRat(2), "y": GaussRat(0, 1)}) == GaussRat(3)
