@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .deriv import Derivation, DerivationError, exact_derivation
 from .ore import SkewPoly, commutator, quantize, semiclassical_bracket
-from .parser import ParseError, parse_poly
+from .parser import ParseError, _is_name, parse_poly
 from .poisson import (
     DeltaBracket,
     PoissonTriple,
@@ -65,6 +64,8 @@ def _parse_assignments(spec: str, what: str) -> list[tuple[str, str]]:
             raise ParseError(f"{what} item {chunk!r} is not name=expr", 0)
         name, expr = chunk.split("=", 1)
         name = name.strip()
+        if not _is_name(name):
+            raise ParseError(f"{what} name {name!r} is not a variable name", 0)
         if any(name == seen for seen, _ in out):
             raise ParseError(f"{what} names {name!r} twice", 0)
         out.append((name, expr.strip()))
@@ -83,9 +84,8 @@ def _delta_from_spec(spec: str) -> Derivation:
 
 def _triple_from_spec(spec: str) -> PoissonTriple:
     pairs = dict(_parse_assignments(spec, "--triple"))
-    missing = {"f", "g", "h"} - set(pairs)
-    if missing:
-        raise ParseError(f"--triple is missing {sorted(missing)}", 0)
+    if set(pairs) != {"f", "g", "h"}:
+        raise ParseError(f"--triple takes exactly f, g and h, not {sorted(pairs)}", 0)
     return PoissonTriple(
         parse_poly(pairs["f"], TRIPLE_RING),
         parse_poly(pairs["g"], TRIPLE_RING),
@@ -111,13 +111,8 @@ def _inputs(args, count: int) -> list[str]:
     return texts
 
 
-def _order(args):
-    tag = getattr(args, "order", None) or os.environ.get("POISSON_ORE_ORDER", "grevlex")
-    return order_by_tag(tag)
-
-
 def _show(args, p: Poly) -> str:
-    return render(p, _order(args))
+    return render(p, order_by_tag(getattr(args, "order", "grevlex")))
 
 
 def _add_common(sub, exprs: int = 0, delta: bool = False, triple: bool = False):
@@ -129,7 +124,7 @@ def _add_common(sub, exprs: int = 0, delta: bool = False, triple: bool = False):
         sub.add_argument("exprs", nargs="*", metavar="EXPR")
         sub.add_argument("--file", help="read expressions from a file, one per line")
     sub.add_argument("--json", action="store_true")
-    sub.add_argument("--order", choices=["grevlex", "lex"])
+    sub.add_argument("--order", choices=["grevlex", "lex"], default="grevlex")
 
 
 def _cmd_bracket(args) -> int:
@@ -246,8 +241,7 @@ def _cmd_core(args) -> int:
     delta = _delta_from_spec(args.delta)
     gens = [parse_poly(s, delta.ring) for s in args.ideal.split(",") if s.strip()]
     result = delta_core(IdealPres(delta.ring, gens), delta, args.max_iter)
-    order = _order(args)
-    basis = list(result.core.basis_strings(order))
+    basis = list(result.core.basis_strings(order_by_tag(args.order)))
     status = "exact" if result.exact else "upper bound only"
     payload = {
         "status": status,
@@ -262,7 +256,7 @@ def _cmd_core(args) -> int:
 def _cmd_singular(args) -> int:
     structure = _structure(args)
     locus = singular_locus(structure)
-    basis = list(locus.ideal.basis_strings(_order(args)))
+    basis = list(locus.ideal.basis_strings(order_by_tag(args.order)))
     points = [
         {v: render_coeff(pt[v]) for v in sorted(pt)} for pt in locus.points
     ]
@@ -416,17 +410,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--dmax", type=int, default=DEFAULT_DMAX)
     sub.set_defaults(fn=_cmd_image_solve)
 
-    sub = subs.add_parser("classify", help="bounded prime spectrum")
-    _add_common(sub, delta=True)
-    sub.add_argument("--exact", help="potential a(x, y) for the exact bracket")
-    sub.add_argument("--dmax", type=int, default=DEFAULT_DMAX)
-    sub.set_defaults(fn=_cmd_classify)
-
-    sub = subs.add_parser("gamma", help="transport a spectrum to the other side")
-    _add_common(sub, delta=True)
-    sub.add_argument("--exact", help="potential a(x, y) for the exact bracket")
-    sub.add_argument("--dmax", type=int, default=DEFAULT_DMAX)
-    sub.set_defaults(fn=_cmd_gamma)
+    for name, fn, text in (
+        ("classify", _cmd_classify, "bounded prime spectrum"),
+        ("gamma", _cmd_gamma, "transport a spectrum to the other side"),
+    ):
+        # the spectrum renders its own generators, in grevlex: no --order
+        sub = subs.add_parser(name, help=text)
+        sub.add_argument("--delta", help="derivation images, e.g. x=2*y,y=y^2+x")
+        sub.add_argument("--exact", help="potential a(x, y) for the exact bracket")
+        sub.add_argument("--dmax", type=int, default=DEFAULT_DMAX)
+        sub.add_argument("--json", action="store_true")
+        sub.set_defaults(fn=fn)
 
     sub = subs.add_parser("example", help="run a named registry example")
     sub.add_argument("name", nargs="?")

@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Mapping
 
 from .polycore import Check, GaussRat, IdealPres, Poly
-from .polycore.poly import GREVLEX, MonomialOrder
 
 
 class DerivationError(ValueError):
@@ -91,20 +90,17 @@ class Derivation:
 class QuotientDerivation:
     """Action of a stable derivation on normal-form representatives."""
 
-    __slots__ = ("derivation", "ideal", "order")
+    __slots__ = ("derivation", "ideal")
 
-    def __init__(
-        self, derivation: Derivation, ideal: IdealPres, order: MonomialOrder = GREVLEX
-    ):
+    def __init__(self, derivation: Derivation, ideal: IdealPres):
         object.__setattr__(self, "derivation", derivation)
         object.__setattr__(self, "ideal", ideal)
-        object.__setattr__(self, "order", order)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuotientDerivation is immutable")
 
     def apply(self, p: Poly) -> Poly:
-        return self.ideal.normal_form(self.derivation.apply(p), self.order)
+        return self.ideal.normal_form(self.derivation.apply(p))
 
 
 def derivation(ring: tuple[str, ...], **images: Poly) -> Derivation:

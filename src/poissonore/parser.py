@@ -60,6 +60,15 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
     return out
 
 
+def _is_name(text: str) -> bool:
+    """Whether text is exactly one NAME token and not the imaginary unit."""
+    try:
+        tokens = _tokenize(text)
+    except ParseError:
+        return False
+    return len(tokens) == 2 and tokens[0][:2] == ("name", text) and text != "i"
+
+
 class _Parser:
     def __init__(self, src: str, ring: tuple[str, ...]):
         self.tokens = _tokenize(src)

@@ -8,7 +8,7 @@ division is available; results are normalized monic.
 
 from __future__ import annotations
 
-from .poly import GREVLEX, MonomialOrder, Poly, exact_divide
+from .poly import Poly, exact_divide
 from .scalars import GaussRat, ONE
 
 
@@ -123,7 +123,7 @@ def _gcd_raw(p: Poly, q: Poly) -> Poly:
     return cont * gp
 
 
-def gcd_poly(p: Poly, q: Poly, order: MonomialOrder = GREVLEX) -> Poly:
+def gcd_poly(p: Poly, q: Poly) -> Poly:
     """Monic greatest common divisor; gcd(0, 0) is 0.
 
     The divisibility of both inputs by the result is asserted, so a
@@ -133,9 +133,9 @@ def gcd_poly(p: Poly, q: Poly, order: MonomialOrder = GREVLEX) -> Poly:
     g = _gcd_raw(p, q)
     if g.is_zero():
         return g
-    g = g.monic(order)
-    if p and exact_divide(p, g, order) is None:
+    g = g.monic()
+    if p and exact_divide(p, g) is None:
         raise ArithmeticError("gcd does not divide first input")
-    if q and exact_divide(q, g, order) is None:
+    if q and exact_divide(q, g) is None:
         raise ArithmeticError("gcd does not divide second input")
     return g

@@ -1,15 +1,17 @@
 """Buchberger's algorithm, normal forms, and ideal presentations.
 
 Reduced Groebner bases are the workhorse for every ideal question in
-this package: membership, equality, containment, elimination.  The
-implementation is the plain Buchberger loop with the normal selection
-strategy and the coprimality criterion.  Its monic output is cut to a
-minimal basis, one element per minimal leading monomial, and each kept
-element is reduced once by the other kept elements with smaller leading
-monomials, the only ones that can divide its terms.  Reduction leaves
-every leading monomial in place, so this is the reduced basis, which is
-unique (Cox, Little, O'Shea, Ideals, Varieties, and Algorithms,
-Prop. 2.7.6); it is returned sorted by descending leading monomial, so
+this package: membership, equality, containment, elimination.  Every
+reduction is the division algorithm `poly._divide` (Cox, Little, O'Shea,
+Ideals, Varieties, and Algorithms, Thm. 2.3.3).  Membership does not
+depend on the order, so it uses the grevlex basis.  The implementation
+is the plain Buchberger loop with the normal selection strategy and the
+coprimality criterion.  Its monic output is cut to a minimal basis, one
+element per minimal leading monomial, and each kept element is reduced
+once by the other kept elements with smaller leading monomials, the only
+ones that can divide its terms.  Reduction leaves every leading monomial
+in place, so this is the reduced basis, which is unique (ibid., Prop.
+2.7.6); it is returned sorted by descending leading monomial, so
 identical ideals give identical bases on every run.
 """
 
@@ -22,48 +24,33 @@ from .poly import (
     GREVLEX,
     MonomialOrder,
     Poly,
+    _divide,
+    _sub_multiple,
     mono_div,
     mono_divides,
     mono_lcm,
     mono_mul,
     render,
 )
-from .scalars import GaussRat
 
 
 def reduce_full(p: Poly, basis: Sequence[Poly], order: MonomialOrder = GREVLEX) -> Poly:
     """Remainder of p after full reduction by basis (every term reduced)."""
-    if not basis:
-        return p
-    lead = [(g.leading_monomial(order), g.leading_coeff(order), g) for g in basis if g]
-    remainder = Poly.zero(p.ring)
-    work = p
-    while work:
-        e, c = work.leading_term(order)
-        for lm, lc, g in lead:
-            if mono_divides(lm, e):
-                work = work - Poly(p.ring, {mono_div(e, lm): c / lc}) * g
-                break
-        else:
-            t = Poly(p.ring, {e: c})
-            remainder = remainder + t
-            work = work - t
-    return remainder
+    return _divide(p, basis, order)[1]
 
 
 def _s_poly(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
     lf, cf = f.leading_term(order)
     lg, cg = g.leading_term(order)
     l = mono_lcm(lf, lg)
-    tf = Poly(f.ring, {mono_div(l, lf): cf.inverse()})
-    tg = Poly(g.ring, {mono_div(l, lg): cg.inverse()})
-    return tf * f - tg * g
+    out = {}
+    _sub_multiple(out, -cf.inverse(), mono_div(l, lf), f)
+    _sub_multiple(out, cg.inverse(), mono_div(l, lg), g)
+    return Poly(f.ring, out)
 
 
 def buchberger(gens: Sequence[Poly], order: MonomialOrder = GREVLEX) -> list[Poly]:
     basis = [g.monic(order) for g in gens if g]
-    if not basis:
-        return []
     pairs = {(i, j) for i in range(len(basis)) for j in range(i)}
     lms = [g.leading_monomial(order) for g in basis]
     while pairs:
@@ -153,11 +140,11 @@ class IdealPres:
             self._bases[order.tag] = cached
         return cached
 
-    def normal_form(self, p: Poly, order: MonomialOrder = GREVLEX) -> Poly:
-        return reduce_full(p.embed(self.ring), self.basis(order), order)
+    def normal_form(self, p: Poly) -> Poly:
+        return reduce_full(p.embed(self.ring), self.basis())
 
-    def contains_poly(self, p: Poly, order: MonomialOrder = GREVLEX) -> bool:
-        return self.normal_form(p, order).is_zero()
+    def contains_poly(self, p: Poly) -> bool:
+        return self.normal_form(p).is_zero()
 
     def contains_all(self, pairs: Iterable[tuple[object, Poly]]) -> Check:
         """Whether every polynomial of the (witness, polynomial) pairs is a member.
@@ -171,17 +158,17 @@ class IdealPres:
                 return Check(False, witness, residue)
         return Check(True)
 
-    def contains_ideal(self, other: "IdealPres", order: MonomialOrder = GREVLEX) -> bool:
-        return all(self.contains_poly(g, order) for g in other.generators)
+    def contains_ideal(self, other: "IdealPres") -> bool:
+        return all(self.contains_poly(g) for g in other.generators)
 
-    def same_ideal(self, other: "IdealPres", order: MonomialOrder = GREVLEX) -> bool:
-        return self.basis(order) == other.basis(order)
+    def same_ideal(self, other: "IdealPres") -> bool:
+        return self.basis() == other.basis()
 
     def is_zero(self) -> bool:
         return not self.generators
 
-    def is_unit(self, order: MonomialOrder = GREVLEX) -> bool:
-        b = self.basis(order)
+    def is_unit(self) -> bool:
+        b = self.basis()
         return len(b) == 1 and b[0].is_constant()
 
     def basis_strings(self, order: MonomialOrder = GREVLEX) -> tuple[str, ...]:
@@ -200,6 +187,6 @@ class IdealPres:
         return f"<ideal ({gens})>"
 
 
-def normal_form(p: Poly, ideal: IdealPres, order: MonomialOrder = GREVLEX) -> Poly:
-    """Unique remainder of p modulo the ideal; zero exactly on members."""
-    return ideal.normal_form(p, order)
+def normal_form(p: Poly, ideal: IdealPres) -> Poly:
+    """Unique grevlex remainder of p modulo the ideal; zero exactly on members."""
+    return ideal.normal_form(p)

@@ -9,7 +9,7 @@ mathematical equality.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .scalars import GaussRat, ONE, ZERO, render_coeff
 
@@ -165,11 +165,6 @@ class Poly:
         z = (0,) * len(self.ring)
         return all(e == z for e in self.terms)
 
-    def constant_value(self) -> GaussRat:
-        if not self.is_constant():
-            raise ValueError(f"{self} is not constant")
-        return self.terms.get((0,) * len(self.ring), ZERO)
-
     def uses(self, name: str) -> bool:
         i = self.ring.index(name)
         return any(e[i] for e in self.terms)
@@ -236,7 +231,11 @@ class Poly:
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, GaussRat)):
             other = Poly.constant(self.ring, other)
-        return self + (-other)
+        self._check_ring(other)
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            _add_term(out, e, -c)
+        return Poly(self.ring, out)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -373,30 +372,47 @@ class Poly:
         return render(self)
 
 
-# -- exact division ---------------------------------------------------------
+# -- division ----------------------------------------------------------------
 
 
-def exact_divide(p: Poly, d: Poly, order: MonomialOrder = GREVLEX) -> Poly | None:
-    """The quotient p/d when d divides p exactly, else None.
+def _sub_multiple(out: dict[Expvec, GaussRat], c: GaussRat, m: Expvec, g: Poly) -> None:
+    """out -= c * x^m * g, in place."""
+    for e, k in g.terms.items():
+        _add_term(out, mono_mul(m, e), -(c * k))
 
-    Greedy leading-term cancellation: if d | p then d's leading term
-    divides the leading term of every intermediate remainder, so a
-    single failed division certifies indivisibility.
+
+def _divide(p: Poly, divisors: Sequence[Poly], order: MonomialOrder) -> tuple[list, Poly]:
+    """Quotient term maps (one per divisor) and remainder of p.
+
+    The division algorithm (Cox, Little, O'Shea, Ideals, Varieties, and
+    Algorithms, Thm. 2.3.3) on one mutable copy of p's terms: the first
+    divisor whose leading monomial divides the leading term of what is
+    left cancels it, or else that term moves to the remainder.
     """
+    lead = [(i, *g.leading_term(order)) for i, g in enumerate(divisors) if g]
+    quotients: list[dict[Expvec, GaussRat]] = [{} for _ in divisors]
+    remainder = {}
+    work = dict(p.terms)
+    while work:
+        e = max(work, key=order.key)
+        for i, lm, lc in lead:
+            if mono_divides(lm, e):
+                m, t = mono_div(e, lm), work[e] / lc
+                quotients[i][m] = t
+                _sub_multiple(work, t, m, divisors[i])
+                break
+        else:
+            remainder[e] = work.pop(e)
+    return quotients, Poly(p.ring, remainder)
+
+
+def exact_divide(p: Poly, d: Poly) -> Poly | None:
+    """The quotient p/d when d divides p exactly, else None; it is unique."""
     p._check_ring(d)
     if d.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    q = Poly.zero(p.ring)
-    r = p
-    lm_d, lc_d = d.leading_term(order)
-    while r:
-        lm_r, lc_r = r.leading_term(order)
-        if not mono_divides(lm_d, lm_r):
-            return None
-        t = Poly(p.ring, {mono_div(lm_r, lm_d): lc_r / lc_d})
-        q = q + t
-        r = r - t * d
-    return q
+    (q,), r = _divide(p, [d], GREVLEX)
+    return None if r else Poly(p.ring, q)
 
 
 # -- canonical rendering ------------------------------------------------------

@@ -40,9 +40,6 @@ class GaussRat:
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
 
-    def is_real(self) -> bool:
-        return not self.im
-
     # -- arithmetic --------------------------------------------------
 
     def __add__(self, other):

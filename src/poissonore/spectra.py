@@ -106,6 +106,23 @@ def _template(
     return Poly(ring, terms)
 
 
+def _fresh_names(ring: tuple[str, ...], names: list[str]) -> tuple[str, ...]:
+    """Auxiliary variable names for an extension of ring.
+
+    Each name is suffixed with underscores until it is neither a ring
+    variable nor an earlier name; names that do not clash come back as
+    they are.
+    """
+    taken = set(ring)
+    out = []
+    for v in names:
+        while v in taken:
+            v += "_"
+        taken.add(v)
+        out.append(v)
+    return tuple(out)
+
+
 def _split_by_base(expr: Poly, nbase: int, unknown_ring: tuple[str, ...]):
     """Group a combined-ring polynomial by its base-monomial part."""
     grouped: dict[Expvec, dict[Expvec, GaussRat]] = {}
@@ -122,15 +139,13 @@ def _build_invariance(
 ) -> EquationSystem:
     base = delta.ring
     n = len(base)
-    u_names = tuple(f"u{k}" for k in range(len(q_exps)))
-    w_names = tuple(f"w{k}" for k in range(len(w_exps)))
-    for v in u_names + w_names:
-        if v in base:
-            raise ValueError(f"base ring shadows unknown {v}")
-    unknown_ring = u_names + w_names
+    unknown_ring = _fresh_names(
+        base,
+        [f"u{k}" for k in range(len(q_exps))] + [f"w{k}" for k in range(len(w_exps))],
+    )
     big = base + unknown_ring
     q = _template(big, lead, q_exps, n)
-    w = _template(big, None, w_exps, n + len(u_names))
+    w = _template(big, None, w_exps, n + len(q_exps))
 
     lifted = Derivation(
         big,
@@ -273,18 +288,15 @@ def _stable_step(ideal: IdealPres, delta: Derivation) -> IdealPres:
     ring morphism modulo t^2.
     """
     base = ideal.ring
-    outs = tuple(v + "__out" for v in base)
-    big = base + ("t",) + outs
+    names = _fresh_names(base, ["t"] + [v + "__out" for v in base])
+    outs = names[1:]
+    big = base + names
     head = len(base) + 1
-    t = Poly.var(big, "t")
+    t = Poly.var(big, names[0])
     gens = [g.embed(big) for g in ideal.generators]
     gens.append(t * t)
-    for v in base:
-        gens.append(
-            Poly.var(big, v + "__out")
-            - Poly.var(big, v)
-            - t * delta.image(v).embed(big)
-        )
+    for v, out in zip(base, outs):
+        gens.append(Poly.var(big, out) - Poly.var(big, v) - t * delta.image(v).embed(big))
     basis = IdealPres(big, gens).basis(BlockElim(head))
     keep_names = set(outs)
     kept = [
@@ -438,9 +450,10 @@ def factorizations(q: Poly) -> list[tuple[Poly, Poly]]:
             continue
         u_sup = [e for e in monomials_upto(n, du) if GREVLEX.key(e) < GREVLEX.key(eu)]
         v_sup = [e for e in monomials_upto(n, dv) if GREVLEX.key(e) < GREVLEX.key(ev)]
-        u_names = tuple(f"u{k}" for k in range(len(u_sup)))
-        v_names = tuple(f"v{k}" for k in range(len(v_sup)))
-        unknown_ring = u_names + v_names
+        unknown_ring = _fresh_names(
+            q.ring,
+            [f"u{k}" for k in range(len(u_sup))] + [f"v{k}" for k in range(len(v_sup))],
+        )
         big = q.ring + unknown_ring
         u = _template(big, eu, u_sup, n)
         v = _template(big, ev, v_sup, n + len(u_sup))
@@ -578,6 +591,13 @@ class SpectrumDescription:
         return "\n".join(lines)
 
 
+def _refuse_clashes(ring: tuple[str, ...], added: tuple[str, ...]) -> None:
+    """Raise ValueError when the base ring already uses a name the entries add."""
+    clash = [v for v in added if v in ring]
+    if clash:
+        raise ValueError(f"base ring uses {', '.join(clash)}, which the spectrum entries add")
+
+
 def _point_entries(ring: tuple[str, ...], locus: SingularLocus) -> list[SpectrumEntry]:
     out = []
     fiber_ring = ring + ("z", "alpha")
@@ -611,6 +631,7 @@ def classify_delta_spectrum(delta: Derivation, dmax: int) -> SpectrumDescription
     if delta.is_zero():
         raise ValueError("zero derivation has no bounded classification")
     ring = delta.ring
+    _refuse_clashes(ring, ("z", "alpha"))
     entries = [SpectrumEntry("zero", ring, ())]
     notes: list[str] = []
     completeness = f"height-one entries complete through degree {dmax}"
@@ -660,6 +681,7 @@ def classify_exact_spectrum(
     and kept symbolic elsewhere.
     """
     ring = a.ring
+    _refuse_clashes(ring, ("z", "alpha", "lambda"))
     if a.total_degree() < 1:
         raise ValueError("constant potential gives the zero bracket")
     delta = exact_derivation(a)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -180,6 +181,46 @@ def test_negative_bound_is_a_usage_error(capsys, argv):
     assert err.startswith("error: negative")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["darboux", "--delta", "1=2"],
+        ["darboux", "--delta", "x y=1"],
+        ["darboux", "--delta", "=1"],
+        ["darboux", "--delta", "i=x,x=1"],
+        ["bracket", "--triple", "f=x,g=y,h=0,k=1", "x", "y"],
+    ],
+)
+def test_assignment_names_must_be_variables(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error")
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["core", "--delta", "t=x,x=1", "--ideal", "x"], "t"),
+        (["core", "--delta", "x__out=x,x=1", "--ideal", "x"], "x__out"),
+        (["classify", "--delta", "u0=1,x=u0"], "u0"),
+    ],
+)
+def test_variables_named_like_auxiliaries(capsys, argv, name):
+    # the same derivation with y in place of the name gives the same answer
+    def as_y(text):
+        return re.sub(rf"\b{re.escape(name)}\b", "y", text)
+
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert (code, as_y(out)) == run(capsys, *map(as_y, argv))[:2]
+
+
+def test_spectrum_names_are_reserved(capsys):
+    code, out, err = run(capsys, "classify", "--delta", "alpha=x,x=alpha", "--dmax", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "alpha" in err
+
+
 def test_file_input(capsys, tmp_path):
     src = tmp_path / "exprs.txt"
     src.write_text("z\nx\n")
@@ -187,17 +228,18 @@ def test_file_input(capsys, tmp_path):
     assert code == 0 and out.strip() == "x*z + 1"
 
 
-def test_order_flag_and_env(capsys, monkeypatch):
+def test_order_flag(capsys):
     code, out, _ = run(
         capsys, "core", "--delta", "x=2*y,y=y^2+x", "--ideal", "y^2+x+1", "--order", "lex"
     )
     assert "(x + y^2 + 1)" in out
-    monkeypatch.setenv("POISSON_ORE_ORDER", "lex")
-    code, out, _ = run(capsys, "core", "--delta", "x=2*y,y=y^2+x", "--ideal", "y^2+x+1")
-    assert "(x + y^2 + 1)" in out
-    monkeypatch.delenv("POISSON_ORE_ORDER")
     code, out, _ = run(capsys, "core", "--delta", "x=2*y,y=y^2+x", "--ideal", "y^2+x+1")
     assert "(y^2 + x + 1)" in out
+    # classify and gamma print spectra in grevlex and take no --order
+    for command in ("classify", "gamma"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--delta", "x=1", "--order", "lex"])
+        assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("name", ["gwj", "new", "exact-circle", "bergman"])

@@ -8,6 +8,7 @@ from conftest import rand_nonzero_poly, rand_poly
 from oracles import groebner_by_sympy
 from poissonore import IdealPres, Poly, normal_form, render
 from poissonore.polycore import BlockElim, GREVLEX, LEX, groebner_basis, reduce_full
+from poissonore.polycore.poly import _divide, mono_divides
 
 RING = ("x", "y")
 X = Poly.var(RING, "x")
@@ -104,6 +105,26 @@ def test_buchberger_closure_random():
         # random combinations stay members
         p = sum((rand_poly(rng, RING, 2, terms=2) * g for g in gens), Poly.zero(RING))
         assert ideal.contains_poly(p)
+
+
+def test_division_algorithm_random():
+    # divisor lists are arbitrary, not Groebner bases, and may hold zero
+    ring = ("x", "y", "z")
+    rng = random.Random(404)
+    for order in (GREVLEX, LEX, BlockElim(1)):
+        for _ in range(40):
+            p = rand_poly(rng, ring, 4, terms=6, imag=True)
+            divisors = [rand_poly(rng, ring, 2, terms=3) for _ in range(rng.randint(0, 3))]
+            quotients, r = _divide(p, divisors, order)
+            parts = [Poly(ring, q) * g for q, g in zip(quotients, divisors)]
+            assert sum(parts, r) == p
+            lms = [g.leading_monomial(order) for g in divisors if g]
+            assert not any(mono_divides(lm, e) for lm in lms for e in r.terms)
+            for part in parts:
+                if part:
+                    lm_part = order.key(part.leading_monomial(order))
+                    assert lm_part <= order.key(p.leading_monomial(order))
+            assert reduce_full(p, divisors, order) == r
 
 
 def _trim(p: Poly, below=None, order=GREVLEX) -> Poly:

@@ -163,6 +163,19 @@ def test_exact_divide():
         if not d:
             continue
         assert exact_divide(p * d, d) == p
+    # products in three variables, and non-multiples: a product plus a
+    # remainder of lower degree than d cannot be a multiple of d
+    ring3 = ("x", "y", "z")
+    rng = random.Random(205)
+    for _ in range(60):
+        p = rand_poly(rng, ring3, 3, terms=5, imag=True)
+        d = rand_poly(rng, ring3, 2, terms=3, imag=True)
+        if d.total_degree() < 1:
+            continue
+        assert exact_divide(p * d, d) == p
+        r = rand_poly(rng, ring3, d.total_degree() - 1, terms=2, imag=True)
+        if r:
+            assert exact_divide(p * d + r, d) is None
 
 
 def test_render_frozen():

@@ -215,6 +215,17 @@ def test_factorizations():
     ]
 
 
+def test_factorizations_over_a_ring_that_uses_an_unknown_name():
+    ring = ("x", "v0")
+    q = parse_poly("x*v0 + x", ring)
+    assert [(render(a), render(b)) for a, b in factorizations(q)] == [("v0 + 1", "x")]
+
+
+def test_exact_classification_refuses_a_ring_with_lambda():
+    with pytest.raises(ValueError, match="lambda"):
+        classify_exact_spectrum(parse_poly("x^2 + lambda^2", ("x", "lambda")))
+
+
 def test_is_irreducible():
     x = Poly.var(BASE, "x")
     y = Poly.var(BASE, "y")
