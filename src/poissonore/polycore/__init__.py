@@ -14,7 +14,7 @@ from .poly import (
 )
 from .gcd import gcd_poly
 from .groebner import Check, IdealPres, groebner_basis, normal_form, reduce_full
-from .linsolve import kernel_basis, rref, solve_linear
+from .linsolve import rref, solve_linear
 from .solve import SolutionFamily, solve_system, univariate_roots
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "groebner_basis",
     "normal_form",
     "reduce_full",
-    "kernel_basis",
     "rref",
     "solve_linear",
     "SolutionFamily",

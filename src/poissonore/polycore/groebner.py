@@ -1,27 +1,33 @@
-"""Buchberger's algorithm, normal forms, and ideal presentations.
+"""Buchberger's algorithm, FGLM, normal forms, and ideal presentations.
 
 Reduced Groebner bases are the workhorse for every ideal question in
 this package: membership, equality, containment, elimination.  Every
 reduction is the division algorithm `poly._divide` (Cox, Little, O'Shea,
 Ideals, Varieties, and Algorithms, Thm. 2.3.3).  Membership does not
-depend on the order, so it uses the grevlex basis.  The implementation
-is the plain Buchberger loop with the normal selection strategy and the
-coprimality criterion.  Its monic output is cut to a minimal basis, one
-element per minimal leading monomial, and each kept element is reduced
-once by the other kept elements with smaller leading monomials, the only
-ones that can divide its terms.  Reduction leaves every leading monomial
-in place, so this is the reduced basis, which is unique (ibid., Prop.
-2.7.6); it is returned sorted by descending leading monomial, so
-identical ideals give identical bases on every run.
+depend on the order, so it uses the grevlex basis.  `buchberger` keeps
+its pending pairs in a heap under the normal selection strategy, drops
+the pairs that the Gebauer-Moller criteria and the coprimality criterion
+prove redundant, and stops with [1] at the first nonzero constant
+remainder.  Its monic output is cut to a minimal basis, one element per
+minimal leading monomial, and each kept element is reduced once by the
+other kept elements with smaller leading monomials, the only ones that
+can divide its terms.  Reduction leaves every leading monomial in place,
+so this is the reduced basis, which is unique (ibid., Prop. 2.7.6); it
+is returned sorted by descending leading monomial, so identical ideals
+give identical bases on every run.  `fglm` converts the grevlex basis of
+a zero-dimensional ideal to the reduced basis in another order by linear
+algebra on normal forms, which is how the solver gets its lex basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
 from .poly import (
     GREVLEX,
+    Expvec,
     MonomialOrder,
     Poly,
     _divide,
@@ -32,6 +38,7 @@ from .poly import (
     mono_mul,
     render,
 )
+from .scalars import ONE
 
 
 def reduce_full(p: Poly, basis: Sequence[Poly], order: MonomialOrder = GREVLEX) -> Poly:
@@ -50,27 +57,126 @@ def _s_poly(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
 
 
 def buchberger(gens: Sequence[Poly], order: MonomialOrder = GREVLEX) -> list[Poly]:
-    basis = [g.monic(order) for g in gens if g]
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i)}
-    lms = [g.leading_monomial(order) for g in basis]
-    while pairs:
-        # normal selection: smallest lcm first, index pair breaking ties
-        i, j = min(
-            pairs,
-            key=lambda ij: (order.key(mono_lcm(lms[ij[0]], lms[ij[1]])), ij),
-        )
-        pairs.discard((i, j))
-        li, lj = lms[i], lms[j]
-        if mono_lcm(li, lj) == mono_mul(li, lj):  # coprime leading monomials
-            continue
-        s = reduce_full(_s_poly(basis[i], basis[j], order), basis, order)
+    """A Groebner basis of (gens), or [1] as soon as the ideal is seen to be the unit ideal.
+
+    Becker and Weispfenning's GROEBNERNEW2 (Groebner Bases, Sec. 5.5):
+    each new element goes through the Gebauer-Moller UPDATE, which drops
+    the pairs that the chain and coprime criteria prove redundant and the
+    kept elements whose leading monomial it divides.  Pending pairs sit
+    in a heap keyed once, at creation, by (lcm key, indices): the normal
+    selection strategy.  A pair that a later UPDATE kills stays in the
+    heap and is skipped when it comes up.  S-polynomials are reduced by
+    the kept elements only, and the kept elements are returned.
+    """
+    polys: list[Poly] = []  # every element ever added; pairs index into it
+    lms: list[Expvec] = []
+    kept: list[int] = []
+    reducers: list[Poly] = []
+    pending: dict[tuple[int, int], Expvec] = {}  # live pair -> lcm of its leading monomials
+    heap: list[tuple[tuple, tuple[int, int]]] = []
+
+    def update(h: Poly) -> None:
+        k, lh = len(polys), h.leading_monomial(order)
+        polys.append(h)
+        lms.append(lh)
+        new = [(t, mono_lcm(lh, lms[t])) for t in kept]
+        chosen: list[tuple[int, Expvec]] = []
+        for n, (t, l) in enumerate(new):
+            coprime = l == mono_mul(lh, lms[t])
+            if coprime or not any(mono_divides(m, l) for _, m in new[n + 1 :] + chosen):
+                chosen.append((t, l))
+        for ij, l in list(pending.items()):
+            if (
+                mono_divides(lh, l)
+                and mono_lcm(lms[ij[0]], lh) != l
+                and mono_lcm(lms[ij[1]], lh) != l
+            ):
+                del pending[ij]
+        for t, l in chosen:
+            if l != mono_mul(lh, lms[t]):
+                pending[(k, t)] = l
+                heappush(heap, (order.key(l), (k, t)))
+        kept[:] = [t for t in kept if not mono_divides(lh, lms[t])] + [k]
+        reducers[:] = [polys[t] for t in kept]
+
+    for g in filter(None, gens):
+        if g.is_constant():
+            return [Poly.one(g.ring)]
+        update(g.monic(order))
+    while heap:
+        _, (i, j) = heappop(heap)
+        if pending.pop((i, j), None) is None:
+            continue  # killed by a later update
+        s = reduce_full(_s_poly(polys[i], polys[j], order), reducers, order)
         if s:
-            s = s.monic(order)
-            basis.append(s)
-            lms.append(s.leading_monomial(order))
-            k = len(basis) - 1
-            pairs.update((k, t) for t in range(k))
-    return basis
+            if s.is_constant():
+                return [Poly.one(s.ring)]
+            update(s.monic(order))
+    return reducers
+
+
+def fglm(basis: Sequence[Poly], order: MonomialOrder) -> list[Poly]:
+    """The reduced basis in `order` of a zero-dimensional ideal, from a grevlex basis of it.
+
+    FGLM (Faugere, Gianni, Lazard, Mora, J. Symb. Comp. 1993): walk the
+    monomials in ascending `order`, starting at 1 and going up through
+    the multiples x*b of the standard monomials b found so far, skipping
+    multiples of the leading monomials found so far.  The grevlex normal
+    form of each monomial is either a linear combination of the normal
+    forms of the standard monomials below it, which gives the basis
+    element m - sum c_b*b, or independent of them, which makes m
+    standard.  The walk is finite because the quotient is.
+    """
+    ring = basis[0].ring
+    free = unbounded_variable(basis, GREVLEX)
+    if free is not None:
+        raise ValueError(f"ideal is not zero-dimensional: no leading monomial is a power of {free!r}")
+    one = (0,) * len(ring)
+    forms: dict[Expvec, Poly] = {}  # grevlex normal form of each standard monomial
+    rows: list[tuple[Expvec, Poly, Poly]] = []  # pivot, normal-form vector, its monomial combination
+    lms: list[Expvec] = []
+    found: list[Poly] = []
+    todo = [(order.key(one), one, -1, one)]  # (key, monomial, v, b) with monomial = x_v * b
+    while todo:
+        _, m, v, b = heappop(todo)
+        if m in forms or any(mono_divides(lm, m) for lm in lms):
+            continue
+        if v < 0:
+            nf = reduce_full(Poly.one(ring), basis)
+        else:
+            shifted = {e[:v] + (e[v] + 1,) + e[v + 1 :]: c for e, c in forms[b].terms.items()}
+            nf = reduce_full(Poly(ring, shifted), basis)
+        vec, comb = dict(nf.terms), {m: ONE}
+        for pivot, row, row_comb in rows:  # each row is zero at the earlier rows' pivots
+            c = vec.get(pivot)
+            if c:
+                _sub_multiple(vec, c, one, row)
+                _sub_multiple(comb, c, one, row_comb)
+        if not vec:
+            lms.append(m)
+            found.append(Poly(ring, comb))
+            continue
+        pivot = next(iter(vec))
+        inv = vec[pivot].inverse()
+        rows.append((pivot, Poly(ring, vec) * inv, Poly(ring, comb) * inv))
+        forms[m] = nf
+        for w in range(len(ring)):
+            xm = m[:w] + (m[w] + 1,) + m[w + 1 :]
+            heappush(todo, (order.key(xm), xm, w, m))
+    return found[::-1]
+
+
+def unbounded_variable(basis: Sequence[Poly], order: MonomialOrder) -> str | None:
+    """The first ring variable with no pure power among the leading monomials of a Groebner basis.
+
+    None means every variable has one (1 counts as the zeroth power): the
+    ideal is zero-dimensional (Cox, Little, O'Shea, Thm. 5.3.6).
+    """
+    lms = [g.leading_monomial(order) for g in basis]
+    for i, v in enumerate(basis[0].ring):
+        if not any(not any(lm[:i] + lm[i + 1 :]) for lm in lms):
+            return v
+    return None
 
 
 def groebner_basis(gens: Sequence[Poly], order: MonomialOrder = GREVLEX) -> list[Poly]:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .scalars import GaussRat, ZERO, ONE
+from .scalars import GaussRat, ZERO
 
 
 def rref(rows: list[list[GaussRat]]) -> tuple[list[list[GaussRat]], list[int]]:
@@ -50,19 +50,3 @@ def solve_linear(
         x[c] = red[i][n]
     return x
 
-
-def kernel_basis(rows: list[list[GaussRat]]) -> list[list[GaussRat]]:
-    """Basis of the nullspace of rows, one vector per free column."""
-    if not rows:
-        return []
-    n = len(rows[0])
-    red, pivots = rref(rows)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [ZERO] * n
-        v[f] = ONE
-        for i, c in enumerate(pivots):
-            v[c] = -red[i][f]
-        basis.append(v)
-    return basis

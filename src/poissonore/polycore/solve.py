@@ -2,18 +2,21 @@
 
 The strategy is tuned to coefficient-matching systems, which are mostly
 linear: eliminate variables that occur linearly with constant
-coefficient, branch on the QQ(i) roots of univariate constraints, and
-fall back to a lex Groebner basis when neither applies.  Systems whose
-solution set has positive dimension over the given unknowns raise
-SolutionFamily; enumerating them as a list would be dishonest.
+coefficient, and branch on the QQ(i) roots of univariate constraints.
+When neither applies, compute the grevlex basis, which stops at the unit
+ideal (no solution); test zero-dimensionality on its leading monomials;
+and convert it by FGLM to the reduced lex basis, whose last element is
+univariate in the last variable.  Systems whose solution set has
+positive dimension over the given unknowns raise SolutionFamily;
+enumerating them as a list would be dishonest.
 """
 
 from __future__ import annotations
 
 from math import isqrt, lcm
 
-from .groebner import groebner_basis
-from .poly import LEX, Poly
+from .groebner import fglm, groebner_basis, unbounded_variable
+from .poly import GREVLEX, LEX, Poly
 from .scalars import GaussRat, ZERO, gauss_sqrt
 
 Assignment = dict[str, GaussRat]
@@ -177,14 +180,13 @@ def _solve(eqs: list[Poly], ring: tuple[str, ...]) -> list[Assignment]:
         v, coeffs = uni
         return _branch(live, ring, v, univariate_roots(coeffs))
 
-    gb = groebner_basis(live, LEX)
-    if len(gb) == 1 and gb[0].is_constant():
+    gb = groebner_basis(live, GREVLEX)
+    if gb[0].is_constant():
         return []
-    # zero-dimensionality: every variable needs a pure-power leading monomial
-    lms = [g.leading_monomial(LEX) for g in gb]
-    for i, v in enumerate(ring):
-        if not any(lm[i] and all(x == 0 for j, x in enumerate(lm) if j != i) for lm in lms):
-            raise SolutionFamily(f"no univariate constraint isolates {v!r}")
+    free = unbounded_variable(gb, GREVLEX)
+    if free is not None:
+        raise SolutionFamily(f"no univariate constraint isolates {free!r}")
+    gb = fglm(gb, LEX)
     last = ring[-1]
     for g in reversed(gb):
         uni = _as_univariate(g)

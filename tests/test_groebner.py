@@ -8,6 +8,7 @@ from conftest import rand_nonzero_poly, rand_poly
 from oracles import groebner_by_sympy
 from poissonore import IdealPres, Poly, normal_form, render
 from poissonore.polycore import BlockElim, GREVLEX, LEX, groebner_basis, reduce_full
+from poissonore.polycore.groebner import _s_poly, buchberger
 from poissonore.polycore.poly import _divide, mono_divides
 
 RING = ("x", "y")
@@ -157,3 +158,33 @@ def test_reduced_basis_matches_sympy():
                 lm = (lift * gens[0]).leading_monomial(order)
                 ideal.append(lift * gens[0] + _trim(tail, lm, order))
             assert groebner_basis(ideal, order) == groebner_by_sympy(ideal, order)
+
+
+def test_buchberger_output_satisfies_buchbergers_criterion():
+    # the raw output, not the reduced basis: every S-polynomial of it and
+    # every input generator reduces to zero by it, so the pair criteria
+    # dropped no pair that was needed and no dropped element is missed
+    ring = ("x", "y", "z")
+    one = Poly.one(ring)
+    rng = random.Random(405)
+    units = 0
+    for order in (GREVLEX, LEX, BlockElim(1)):
+        for k in range(60):
+            if k % 3 == 0:  # a common zero at the origin: larger bases, never the unit ideal
+                gens = [_trim(rand_poly(rng, ring, 3, terms=3, imag=True)) for _ in range(3)]
+            else:
+                gens = [rand_poly(rng, ring, 3, terms=3, imag=True) for _ in range(rng.randint(1, 4))]
+            if k % 5 == 1:
+                gens.insert(rng.randint(0, len(gens)), Poly.constant(ring, rng.randint(1, 5)))
+            out = buchberger(gens, order)
+            assert all(reduce_full(g, out, order).is_zero() for g in gens)
+            for i, f in enumerate(out):
+                for g in out[:i]:
+                    assert reduce_full(_s_poly(f, g, order), out, order).is_zero(), (order.tag, k)
+            if any(g and g.is_constant() for g in gens):
+                assert out == [one]
+            elif out == [one]:
+                units += 1  # only the S-pairs show it
+            else:
+                assert not any(g.is_constant() for g in out)
+    assert units >= 10

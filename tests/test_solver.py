@@ -6,9 +6,20 @@ import random
 
 import pytest
 
-from conftest import rand_gauss
+from conftest import rand_gauss, rand_poly
+from oracles import groebner_by_sympy
 from poissonore import GaussRat, I, ONE, Poly, SolutionFamily, ZERO
-from poissonore.polycore import solve_linear, solve_system, univariate_roots
+from poissonore.polycore import (
+    GREVLEX,
+    LEX,
+    BlockElim,
+    groebner_basis,
+    solve_linear,
+    solve_system,
+    univariate_roots,
+)
+from poissonore.polycore import solve as solve_module
+from poissonore.polycore.groebner import fglm
 
 RING = ("x", "y")
 X = Poly.var(RING, "x")
@@ -92,3 +103,78 @@ def test_solve_linear():
     assert sol == [two, GaussRat()]
     # repeated calls agree
     assert sol == solve_linear([[one, one]], [two])
+
+
+def _planted_component(rng: random.Random, ring: tuple[str, ...]) -> tuple[list[Poly], set]:
+    """Generators of a zero-dimensional ideal and its QQ(i)-rational points.
+
+    One of: a rational point; a rational point with multiplicity (the
+    square of its maximal ideal); two conjugate points on a line over
+    x^2 = c, rational for c = -1 (x = i, -i) and not for c = 2, -2, 3.
+    """
+    def small():  # Gaussian integers keep the root search of univariate_roots short
+        return GaussRat(rng.randint(-2, 2), rng.choice((0, 0, 1, -1)))
+
+    xs = [Poly.var(ring, v) for v in ring]
+    point = tuple(small() for _ in ring)
+    linear = [x - Poly.constant(ring, a) for x, a in zip(xs, point)]
+    kind = rng.randrange(3)
+    if kind == 0:
+        return linear, {point}
+    if kind == 1:
+        return [f * g for i, f in enumerate(linear) for g in linear[i:]], {point}
+    c = rng.choice([-1, 2, -2, 3])
+    rest = [x - xs[0] * small() - Poly.constant(ring, a) for x, a in zip(xs[1:], point[1:])]
+    if c != -1:
+        return [xs[0] ** 2 - c] + rest, set()
+    # each rest generator is x_k - (b*x + a), so x_k - g is b*x + a
+    points = {
+        (r,) + tuple((x - g).evaluate({ring[0]: r}) for x, g in zip(xs[1:], rest))
+        for r in (I, -I)
+    }
+    return [xs[0] ** 2 - c] + rest, points
+
+
+def test_fglm_matches_lex_basis_on_planted_points():
+    rng = random.Random(502)
+    for k in range(12):
+        ring = ("x", "y", "z") if k % 4 == 3 else RING
+        gens, planted = [Poly.one(ring)], set()
+        for _ in range(rng.randint(1, 2 if len(ring) == 3 else 3)):
+            comp, points = _planted_component(rng, ring)
+            gens = [f * g for f in gens for g in comp]  # the product ideal: the union of the zeros
+            planted |= points
+        for _ in range(3):  # elementary operations keep the ideal
+            i, j = rng.sample(range(len(gens)), 2) if len(gens) > 1 else (0, 0)
+            if i != j:
+                gens[i] = gens[i] + rand_poly(rng, ring, 1, terms=2) * gens[j]
+        grevlex = groebner_basis(gens, GREVLEX)
+        lex = groebner_basis(gens, LEX)
+        assert fglm(grevlex, LEX) == lex == groebner_by_sympy(gens, LEX), k
+        assert fglm(grevlex, BlockElim(1)) == groebner_basis(gens, BlockElim(1)), k
+        sols = solve_system(gens, ring)
+        found = [tuple(s[v] for v in ring) for s in sols]
+        assert len(found) == len(set(found)) and set(found) == planted, k
+
+
+def test_fglm_edge_cases():
+    assert fglm([Poly.one(RING)], LEX) == [Poly.one(RING)]
+    with pytest.raises(ValueError):
+        fglm(groebner_basis([X * Y - 1], GREVLEX), LEX)
+
+
+def test_solve_system_never_asks_for_a_lex_basis(monkeypatch):
+    # x^2 + y^2 = 5, x*y = 2 has no linear pivot and no univariate
+    # equation, so the solver reaches its Groebner step
+    orders = []
+
+    def spy(gens, order=GREVLEX):
+        orders.append(order.tag)
+        return groebner_basis(gens, order)
+
+    monkeypatch.setattr(solve_module, "groebner_basis", spy)
+    sols = solve_system([X ** 2 + Y ** 2 - 5, X * Y - 2], RING)
+    assert {(s["x"], s["y"]) for s in sols} == {
+        (GaussRat(a), GaussRat(b)) for a, b in ((1, 2), (2, 1), (-1, -2), (-2, -1))
+    }
+    assert orders and "lex" not in orders

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -26,6 +27,7 @@ from poissonore import (
     invariance_equations,
     irreducible_factors,
     is_irreducible,
+    load_registry,
     parse_poly,
     render,
     shamsuddin_simple,
@@ -115,6 +117,20 @@ def test_darboux_search_matches_sympy_oracle():
         assert not family
         found = {render(c.q) for c in darboux_search(delta, 2)}
         assert found == expected
+
+
+def test_darboux_search_on_inputs_that_used_to_hang():
+    # strata whose equations are inconsistent or zero-dimensional but
+    # hard in lex: a lex basis computed directly took minutes here
+    registry = load_registry()
+    for name, dmax in (("coutinho-1", 2), ("coutinho-2", 2), ("coutinho-2", 3)):
+        delta = registry[name].derivation()
+        expected, family = stable_curves_by_sympy(delta, dmax)
+        assert not family
+        start = time.perf_counter()
+        found = {render(c.q) for c in darboux_search(delta, dmax)}
+        assert time.perf_counter() - start < 20, (name, dmax)
+        assert found == expected, (name, dmax)
 
 
 def test_darboux_search_raises_on_families():
