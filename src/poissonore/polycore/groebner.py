@@ -128,7 +128,7 @@ def fglm(basis: Sequence[Poly], order: MonomialOrder) -> list[Poly]:
     standard.  The walk is finite because the quotient is.
     """
     ring = basis[0].ring
-    free = unbounded_variable(basis, GREVLEX)
+    free = unbounded_variable(basis)
     if free is not None:
         raise ValueError(f"ideal is not zero-dimensional: no leading monomial is a power of {free!r}")
     one = (0,) * len(ring)
@@ -166,13 +166,13 @@ def fglm(basis: Sequence[Poly], order: MonomialOrder) -> list[Poly]:
     return found[::-1]
 
 
-def unbounded_variable(basis: Sequence[Poly], order: MonomialOrder) -> str | None:
-    """The first ring variable with no pure power among the leading monomials of a Groebner basis.
+def unbounded_variable(basis: Sequence[Poly]) -> str | None:
+    """The first ring variable with no pure power among the leading monomials of a grevlex basis.
 
     None means every variable has one (1 counts as the zeroth power): the
     ideal is zero-dimensional (Cox, Little, O'Shea, Thm. 5.3.6).
     """
-    lms = [g.leading_monomial(order) for g in basis]
+    lms = [g.leading_monomial(GREVLEX) for g in basis]
     for i, v in enumerate(basis[0].ring):
         if not any(not any(lm[:i] + lm[i + 1 :]) for lm in lms):
             return v

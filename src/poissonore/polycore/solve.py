@@ -183,16 +183,14 @@ def _solve(eqs: list[Poly], ring: tuple[str, ...]) -> list[Assignment]:
     gb = groebner_basis(live, GREVLEX)
     if gb[0].is_constant():
         return []
-    free = unbounded_variable(gb, GREVLEX)
+    free = unbounded_variable(gb)
     if free is not None:
         raise SolutionFamily(f"no univariate constraint isolates {free!r}")
     gb = fglm(gb, LEX)
-    last = ring[-1]
-    for g in reversed(gb):
-        uni = _as_univariate(g)
-        if uni is not None and uni[0] == last:
-            return _branch(gb, ring, last, univariate_roots(uni[1]))
-    raise SolutionFamily(f"no univariate constraint isolates {last!r}")
+    # every variable has a pure power, so the smallest leading monomial is
+    # one of the last variable and its element is univariate in it
+    last, coeffs = _as_univariate(gb[-1])
+    return _branch(gb, ring, last, univariate_roots(coeffs))
 
 
 def _branch(

@@ -125,12 +125,10 @@ def _planted_component(rng: random.Random, ring: tuple[str, ...]) -> tuple[list[
         return [f * g for i, f in enumerate(linear) for g in linear[i:]], {point}
     c = rng.choice([-1, 2, -2, 3])
     rest = [x - xs[0] * small() - Poly.constant(ring, a) for x, a in zip(xs[1:], point[1:])]
-    if c != -1:
-        return [xs[0] ** 2 - c] + rest, set()
     # each rest generator is x_k - (b*x + a), so x_k - g is b*x + a
     points = {
         (r,) + tuple((x - g).evaluate({ring[0]: r}) for x, g in zip(xs[1:], rest))
-        for r in (I, -I)
+        for r in ((I, -I) if c == -1 else ())
     }
     return [xs[0] ** 2 - c] + rest, points
 
@@ -144,10 +142,9 @@ def test_fglm_matches_lex_basis_on_planted_points():
             comp, points = _planted_component(rng, ring)
             gens = [f * g for f in gens for g in comp]  # the product ideal: the union of the zeros
             planted |= points
-        for _ in range(3):  # elementary operations keep the ideal
-            i, j = rng.sample(range(len(gens)), 2) if len(gens) > 1 else (0, 0)
-            if i != j:
-                gens[i] = gens[i] + rand_poly(rng, ring, 1, terms=2) * gens[j]
+        for _ in range(3 if len(gens) > 1 else 0):  # elementary operations keep the ideal
+            i, j = rng.sample(range(len(gens)), 2)
+            gens[i] = gens[i] + rand_poly(rng, ring, 1, terms=2) * gens[j]
         grevlex = groebner_basis(gens, GREVLEX)
         lex = groebner_basis(gens, LEX)
         assert fglm(grevlex, LEX) == lex == groebner_by_sympy(gens, LEX), k
