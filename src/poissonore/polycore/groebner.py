@@ -15,8 +15,8 @@ can divide its terms.  Reduction leaves every leading monomial in place,
 so this is the reduced basis, which is unique (ibid., Prop. 2.7.6); it
 is returned sorted by descending leading monomial, so identical ideals
 give identical bases on every run.  `fglm` converts the grevlex basis of
-a zero-dimensional ideal to the reduced basis in another order by linear
-algebra on normal forms, which is how the solver gets its lex basis.
+a zero-dimensional ideal to the reduced lex basis by linear algebra on
+normal forms, which is how the solver gets its lex basis.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from typing import Iterable, Sequence
 
 from .poly import (
     GREVLEX,
+    LEX,
     Expvec,
     MonomialOrder,
     Poly,
@@ -115,28 +116,27 @@ def buchberger(gens: Sequence[Poly], order: MonomialOrder = GREVLEX) -> list[Pol
     return reducers
 
 
-def fglm(basis: Sequence[Poly], order: MonomialOrder) -> list[Poly]:
-    """The reduced basis in `order` of a zero-dimensional ideal, from a grevlex basis of it.
+def fglm(basis: Sequence[Poly]) -> list[Poly]:
+    """The reduced lex basis of a zero-dimensional ideal, from a grevlex basis of it.
 
     FGLM (Faugere, Gianni, Lazard, Mora, J. Symb. Comp. 1993): walk the
-    monomials in ascending `order`, starting at 1 and going up through
+    monomials in ascending lex order, starting at 1 and going up through
     the multiples x*b of the standard monomials b found so far, skipping
     multiples of the leading monomials found so far.  The grevlex normal
     form of each monomial is either a linear combination of the normal
     forms of the standard monomials below it, which gives the basis
     element m - sum c_b*b, or independent of them, which makes m
-    standard.  The walk is finite because the quotient is.
+    standard.  The walk is finite because the quotient is; the caller
+    checks zero-dimensionality first, since on a larger ideal the walk
+    never ends.
     """
     ring = basis[0].ring
-    free = unbounded_variable(basis)
-    if free is not None:
-        raise ValueError(f"ideal is not zero-dimensional: no leading monomial is a power of {free!r}")
     one = (0,) * len(ring)
     forms: dict[Expvec, Poly] = {}  # grevlex normal form of each standard monomial
     rows: list[tuple[Expvec, Poly, Poly]] = []  # pivot, normal-form vector, its monomial combination
     lms: list[Expvec] = []
     found: list[Poly] = []
-    todo = [(order.key(one), one, -1, one)]  # (key, monomial, v, b) with monomial = x_v * b
+    todo = [(LEX.key(one), one, -1, one)]  # (key, monomial, v, b) with monomial = x_v * b
     while todo:
         _, m, v, b = heappop(todo)
         if m in forms or any(mono_divides(lm, m) for lm in lms):
@@ -162,21 +162,8 @@ def fglm(basis: Sequence[Poly], order: MonomialOrder) -> list[Poly]:
         forms[m] = nf
         for w in range(len(ring)):
             xm = m[:w] + (m[w] + 1,) + m[w + 1 :]
-            heappush(todo, (order.key(xm), xm, w, m))
+            heappush(todo, (LEX.key(xm), xm, w, m))
     return found[::-1]
-
-
-def unbounded_variable(basis: Sequence[Poly]) -> str | None:
-    """The first ring variable with no pure power among the leading monomials of a grevlex basis.
-
-    None means every variable has one (1 counts as the zeroth power): the
-    ideal is zero-dimensional (Cox, Little, O'Shea, Thm. 5.3.6).
-    """
-    lms = [g.leading_monomial(GREVLEX) for g in basis]
-    for i, v in enumerate(basis[0].ring):
-        if not any(not any(lm[:i] + lm[i + 1 :]) for lm in lms):
-            return v
-    return None
 
 
 def groebner_basis(gens: Sequence[Poly], order: MonomialOrder = GREVLEX) -> list[Poly]:

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from math import isqrt, lcm
 
-from .groebner import fglm, groebner_basis, unbounded_variable
-from .poly import GREVLEX, LEX, Poly
+from .groebner import fglm, groebner_basis
+from .poly import GREVLEX, Poly
 from .scalars import GaussRat, ZERO, gauss_sqrt
 
 Assignment = dict[str, GaussRat]
@@ -183,14 +183,27 @@ def _solve(eqs: list[Poly], ring: tuple[str, ...]) -> list[Assignment]:
     gb = groebner_basis(live, GREVLEX)
     if gb[0].is_constant():
         return []
-    free = unbounded_variable(gb)
+    free = _unbounded_variable(gb)
     if free is not None:
         raise SolutionFamily(f"no univariate constraint isolates {free!r}")
-    gb = fglm(gb, LEX)
+    gb = fglm(gb)
     # every variable has a pure power, so the smallest leading monomial is
     # one of the last variable and its element is univariate in it
     last, coeffs = _as_univariate(gb[-1])
     return _branch(gb, ring, last, univariate_roots(coeffs))
+
+
+def _unbounded_variable(basis: list[Poly]) -> str | None:
+    """The first ring variable with no pure power among the leading monomials of a grevlex basis.
+
+    None means every variable has one (1 counts as the zeroth power): the
+    ideal is zero-dimensional (Cox, Little, O'Shea, Thm. 5.3.6).
+    """
+    lms = [g.leading_monomial(GREVLEX) for g in basis]
+    for i, v in enumerate(basis[0].ring):
+        if not any(not any(lm[:i] + lm[i + 1 :]) for lm in lms):
+            return v
+    return None
 
 
 def _branch(

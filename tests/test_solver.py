@@ -12,7 +12,6 @@ from poissonore import GaussRat, I, ONE, Poly, SolutionFamily, ZERO
 from poissonore.polycore import (
     GREVLEX,
     LEX,
-    BlockElim,
     groebner_basis,
     solve_linear,
     solve_system,
@@ -147,17 +146,24 @@ def test_fglm_matches_lex_basis_on_planted_points():
             gens[i] = gens[i] + rand_poly(rng, ring, 1, terms=2) * gens[j]
         grevlex = groebner_basis(gens, GREVLEX)
         lex = groebner_basis(gens, LEX)
-        assert fglm(grevlex, LEX) == lex == groebner_by_sympy(gens, LEX), k
-        assert fglm(grevlex, BlockElim(1)) == groebner_basis(gens, BlockElim(1)), k
+        assert fglm(grevlex) == lex == groebner_by_sympy(gens, LEX), k
         sols = solve_system(gens, ring)
         found = [tuple(s[v] for v in ring) for s in sols]
         assert len(found) == len(set(found)) and set(found) == planted, k
 
 
-def test_fglm_edge_cases():
-    assert fglm([Poly.one(RING)], LEX) == [Poly.one(RING)]
-    with pytest.raises(ValueError):
-        fglm(groebner_basis([X * Y - 1], GREVLEX), LEX)
+def test_fglm_of_the_unit_ideal():
+    assert fglm([Poly.one(RING)]) == [Poly.one(RING)]
+
+
+def test_solution_family_names_a_variable_without_a_grevlex_pure_power():
+    # no linear pivot and no univariate equation, so the solver reaches
+    # its Groebner step; the grevlex leading monomial of x^2 - y^3 is
+    # y^3, which leaves x without a pure power (lex would lead with x^2)
+    with pytest.raises(SolutionFamily, match="^no univariate constraint isolates 'x'$"):
+        solve_system([X ** 2 - Y ** 3], RING)
+    with pytest.raises(SolutionFamily, match="^no univariate constraint isolates 'x'$"):
+        solve_system([X * Y - 1], RING)
 
 
 def test_solve_system_never_asks_for_a_lex_basis(monkeypatch):

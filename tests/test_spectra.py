@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import random
-import time
 
 import pytest
 
@@ -127,9 +126,7 @@ def test_darboux_search_on_inputs_that_used_to_hang():
         delta = registry[name].derivation()
         expected, family = stable_curves_by_sympy(delta, dmax)
         assert not family
-        start = time.perf_counter()
         found = {render(c.q) for c in darboux_search(delta, dmax)}
-        assert time.perf_counter() - start < 20, (name, dmax)
         assert found == expected, (name, dmax)
 
 
