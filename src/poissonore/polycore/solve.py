@@ -6,22 +6,25 @@ coefficient, and branch on the QQ(i) roots of univariate constraints.
 When neither applies, compute the grevlex basis, which stops at the unit
 ideal (no solution); test zero-dimensionality on its leading monomials;
 and convert it by FGLM to the reduced lex basis, whose last element is
-univariate in the last variable.  Systems whose solution set has
-positive dimension over the given unknowns raise SolutionFamily;
-enumerating them as a list would be dishonest.
+univariate in the last variable.  Univariate roots come in closed form
+up to degree two and from a certified p-adic root finder beyond (see
+univariate_roots and padic.py); the method is complete, so no input is
+too large to answer.  Systems whose solution set has positive dimension
+over the given unknowns raise SolutionFamily; enumerating them as a list
+would be dishonest.
 """
 
 from __future__ import annotations
 
-from math import isqrt, lcm
+from math import lcm
 
+from .gcd import gcd_poly
 from .groebner import fglm, groebner_basis
-from .poly import GREVLEX, Poly
+from .padic import scaled_root_candidates
+from .poly import GREVLEX, Poly, exact_divide
 from .scalars import GaussRat, ZERO, gauss_sqrt
 
 Assignment = dict[str, GaussRat]
-
-_ROOT_SEARCH_LIMIT = 10**7
 
 
 class SolutionFamily(Exception):
@@ -31,46 +34,22 @@ class SolutionFamily(Exception):
 # -- univariate roots over QQ(i) -------------------------------------------
 
 
-def _divisors(n: int) -> list[int]:
-    out = []
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-    return sorted(out)
-
-
-def _gauss_ints_of_norm(n: int) -> list[GaussRat]:
-    out = []
-    for a in range(isqrt(n) + 1):
-        b2 = n - a * a
-        b = isqrt(b2)
-        if b * b == b2:
-            for sa in {a, -a}:
-                for sb in {b, -b}:
-                    out.append(GaussRat(sa, sb))
-    return out
-
-
-def _candidate_gauss_divisors(g: GaussRat) -> list[GaussRat]:
-    n = g.norm()
-    assert n.denominator == 1
-    n = n.numerator
-    if n > _ROOT_SEARCH_LIMIT:
-        raise ArithmeticError("root candidate search space too large")
-    cands = []
-    for d in _divisors(n):
-        cands.extend(_gauss_ints_of_norm(d))
-    return cands
-
-
 def univariate_roots(coeffs: list[GaussRat]) -> list[GaussRat]:
     """All roots in QQ(i) of sum(coeffs[k] * t**k), ascending degree.
 
-    Degrees one and two are solved in closed form; beyond that, clear
-    denominators and try every u/v with u, v Gaussian-integer divisors
-    (by norm) of the trailing and leading coefficients.
+    Degrees one and two are solved in closed form.  Beyond that, dividing
+    f by gcd(f, f') and clearing denominators gives g over Z[i], with the
+    same roots, each simple, and leading coefficient lc.
+    padic.scaled_root_candidates yields one Gaussian integer w per root
+    of g modulo a split prime, lifted p-adically and read back by lattice
+    reduction.  Each w/lc is kept only if Horner evaluation of f at it
+    over QQ(i) gives exactly zero.
+
+    Complete: for a root r in QQ(i), lc*r is a Gaussian integer within
+    Cauchy's bound B; it reduces to a simple root modulo the prime, whose
+    Newton lift is unique, and it is the only point of its lattice coset
+    within B, which rounding finds.  The full argument is in the
+    docstring of padic.scaled_root_candidates.
     """
     coeffs = list(coeffs)
     while coeffs and not coeffs[-1]:
@@ -94,16 +73,19 @@ def univariate_roots(coeffs: list[GaussRat]) -> list[GaussRat]:
             roots.add((-b + s) / (2 * a))
             roots.add((-b - s) / (2 * a))
     else:
-        den = lcm(*(c.re.denominator for c in coeffs), *(c.im.denominator for c in coeffs))
-        ints = [c * den for c in coeffs]
-        for u in _candidate_gauss_divisors(ints[0]):
-            for v in _candidate_gauss_divisors(ints[-1]):
-                cand = u / v
-                acc = ZERO
-                for c in reversed(ints):
-                    acc = acc * cand + c
-                if not acc:
-                    roots.add(cand)
+        f = Poly(("t",), {(k,): c for k, c in enumerate(coeffs) if c})
+        g = exact_divide(f, gcd_poly(f, f.partial("t")))  # same roots, each simple
+        part = [g.terms.get((k,), ZERO) for k in range(g.total_degree() + 1)]
+        den = lcm(*(c.re.denominator for c in part), *(c.im.denominator for c in part))
+        ints = [(int(c.re * den), int(c.im * den)) for c in part]
+        lc = GaussRat(*ints[-1])
+        for w in scaled_root_candidates(ints):
+            cand = GaussRat(*w) / lc
+            acc = ZERO
+            for c in reversed(coeffs):
+                acc = acc * cand + c
+            if not acc:
+                roots.add(cand)
     return sorted(roots, key=GaussRat.sort_key)
 
 

@@ -3,8 +3,9 @@
 Nothing here may call the code path it checks: bracket expansion goes
 through the bivector formula instead of the z-strata closed form,
 ideal membership goes through bounded linear algebra instead of basis
-reduction, the stable-curve search goes through sympy's solver, and
-reduced Groebner bases come from sympy's groebner.
+reduction, the stable-curve search goes through sympy's solver, reduced
+Groebner bases come from sympy's groebner, and univariate roots over
+QQ(i) come from the linear factors of sympy's factorization over QQ(i).
 """
 
 from __future__ import annotations
@@ -175,6 +176,21 @@ def stable_curves_by_sympy(delta: Derivation, dmax: int) -> tuple[set[str], bool
                     terms[tuple(m)] = c
             found.add(render(Poly(ring, terms)))
     return found, family
+
+
+def roots_by_sympy(coeffs: list[GaussRat]) -> set[GaussRat]:
+    """The roots in QQ(i) of sum(coeffs[k] * t**k): those of its linear factors over QQ(i)."""
+    import sympy
+
+    t = sympy.Symbol("t")
+    f = _to_sympy(Poly(("t",), {(k,): c for k, c in enumerate(coeffs) if c}), {"t": t})
+    _, factors = sympy.factor_list(f, t, gaussian=True)
+    out = set()
+    for g, _ in factors:
+        if sympy.degree(g, t) == 1:
+            a, b = sympy.Poly(g, t).all_coeffs()
+            out.add(_gauss_from_sympy(-b / a))
+    return out
 
 
 def groebner_by_sympy(gens: list[Poly], order: MonomialOrder) -> list[Poly]:

@@ -75,6 +75,15 @@ def test_semiclassical(capsys):
     assert code == 0 and out.strip() == "4*x*z"
 
 
+@pytest.mark.parametrize("dmax", ["6", "7"])
+def test_darboux_new_at_high_degree(capsys, dmax):
+    # the registry's `new` entry has no stable curves; at dmax 6 one stratum
+    # needs the QQ(i) roots of a degree-7 polynomial whose coefficients,
+    # cleared of denominators, reach norm 5*10^8
+    code, out, err = run(capsys, "darboux", "--delta", "x=y,y=x+x^2*y", "--dmax", dmax)
+    assert (code, out, err) == (0, "none\n", "")
+
+
 def test_darboux(capsys):
     code, out, _ = run(capsys, "darboux", "--delta", "x=2*y,y=y^2+x", "--dmax", "2")
     assert code == 0

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from conftest import rand_gauss, rand_poly
-from oracles import groebner_by_sympy
+from oracles import groebner_by_sympy, roots_by_sympy
 from poissonore import GaussRat, I, ONE, Poly, SolutionFamily, ZERO
 from poissonore.polycore import (
     GREVLEX,
@@ -61,6 +62,39 @@ def test_univariate_roots_random_products():
         assert set(univariate_roots(_coeff_list(p))) == planted
 
 
+# t^d - c has no root in QQ(i), so it is irreducible over QQ(i) (d = 2, 3):
+# c = 2, -3, 3 is rational and not a square or cube there, and the
+# others have a norm (2, 5, 10) that is neither a square nor a cube
+_IRREDUCIBLE = [(2, GaussRat(2)), (2, GaussRat(-3)), (2, GaussRat(1, 1)), (2, GaussRat(3, -1)),
+                (3, GaussRat(2)), (3, GaussRat(3)), (3, GaussRat(1, 2)), (3, GaussRat(3, -1))]
+
+
+def test_univariate_roots_match_sympy_factorization():
+    rng = random.Random(503)
+    ring = ("x",)
+    x = Poly.var(ring, "x")
+    big = 0
+    for k in range(100):
+        span = 10**3 if k % 3 == 0 else 9
+        p, planted = Poly.one(ring), set()
+        if k == 1:  # 5 and 13 divide N(lc), so the root finder skips both primes
+            p, planted = x * GaussRat(4, 7) - GaussRat(1, -2), {GaussRat(1, -2) / GaussRat(4, 7)}
+        for _ in range(rng.randint(1, 3)):
+            u = GaussRat(rng.randint(1, span), rng.randint(-span, span))
+            v = GaussRat(rng.randint(-span, span), rng.randint(-span, span))
+            planted.add(v / u)
+            p = p * (x * u - Poly.constant(ring, v)) ** rng.choice((1, 1, 1, 2))
+        if rng.random() < 0.5:
+            d, c = rng.choice(_IRREDUCIBLE)
+            shift = x * (rand_gauss(rng) or ONE) + Poly.constant(ring, rand_gauss(rng))
+            p = p * (shift ** d - Poly.constant(ring, c))
+        coeffs = _coeff_list(p * (rand_gauss(rng) or ONE))
+        assert k != 1 or coeffs[-1].norm().numerator % 65 == 0
+        big += coeffs[-1].norm() > 10**12
+        assert set(univariate_roots(coeffs)) == planted == roots_by_sympy(coeffs), k
+    assert big >= 15
+
+
 def test_solve_system_points():
     sols = solve_system([X ** 2 - 1, Y - X], RING)
     assert sols == sorted(
@@ -111,8 +145,9 @@ def _planted_component(rng: random.Random, ring: tuple[str, ...]) -> tuple[list[
     square of its maximal ideal); two conjugate points on a line over
     x^2 = c, rational for c = -1 (x = i, -i) and not for c = 2, -2, 3.
     """
-    def small():  # Gaussian integers keep the root search of univariate_roots short
-        return GaussRat(rng.randint(-2, 2), rng.choice((0, 0, 1, -1)))
+    def small():
+        return GaussRat(Fraction(rng.randint(-2, 2), rng.randint(1, 3)),
+                        Fraction(rng.choice((0, 0, 1, -1)), rng.randint(1, 3)))
 
     xs = [Poly.var(ring, v) for v in ring]
     point = tuple(small() for _ in ring)
@@ -150,6 +185,29 @@ def test_fglm_matches_lex_basis_on_planted_points():
         sols = solve_system(gens, ring)
         found = [tuple(s[v] for v in ring) for s in sols]
         assert len(found) == len(set(found)) and set(found) == planted, k
+
+
+def test_solve_system_on_a_product_ideal_with_fractional_points():
+    # 12 generators, products of three components: the square of the
+    # maximal ideal of p, (x^2 + 2, y - 1 + i/3) with no QQ(i) point, and
+    # the maximal ideal of q; scrambled by elementary operations.  The
+    # solver branches on the QQ(i) roots of univariate polynomials of
+    # degrees 5 and 3 with fractional Gaussian coefficients
+    def const(re, im):
+        return Poly.constant(RING, GaussRat(re, im))
+
+    p, q = (const(-1, Fraction(-1, 2)),) * 2, (const(2, Fraction(1, 2)), const(1, Fraction(1, 2)))
+    square = [(X - p[0]) ** 2, (X - p[0]) * (Y - p[1]), (Y - p[1]) ** 2]
+    pair = [X ** 2 + 2, Y - const(1, Fraction(-1, 3))]
+    gens = [f * g * h for f in square for g in pair for h in (X - q[0], Y - q[1])]
+    gens[4] = gens[4] - (X * 2 + Y * Fraction(2, 3)) * gens[2]
+    gens[10] = gens[10] + gens[4] * Fraction(1, 2)
+    gens[3] = gens[3] + (Y * -3 + 3) * gens[8]
+    sols = solve_system(gens, RING)
+    assert [(s["x"], s["y"]) for s in sols] == [
+        (GaussRat(-1, Fraction(-1, 2)), GaussRat(-1, Fraction(-1, 2))),
+        (GaussRat(2, Fraction(1, 2)), GaussRat(1, Fraction(1, 2))),
+    ]
 
 
 def test_fglm_of_the_unit_ideal():
