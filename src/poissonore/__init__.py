@@ -51,7 +51,6 @@ from .polycore import (
     exact_divide,
     gcd_poly,
     groebner_basis,
-    normal_form,
     render,
 )
 from .registry import ExampleConfig, load_registry

@@ -13,7 +13,7 @@ from .poly import (
     render,
 )
 from .gcd import gcd_poly
-from .groebner import Check, IdealPres, groebner_basis, normal_form, reduce_full
+from .groebner import Check, IdealPres, groebner_basis, reduce_full
 from .linsolve import rref, solve_linear
 from .solve import SolutionFamily, solve_system, univariate_roots
 
@@ -37,7 +37,6 @@ __all__ = [
     "Check",
     "IdealPres",
     "groebner_basis",
-    "normal_form",
     "reduce_full",
     "rref",
     "solve_linear",

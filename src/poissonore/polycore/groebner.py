@@ -278,8 +278,3 @@ class IdealPres:
     def __repr__(self):
         gens = ", ".join(render(g) for g in self.generators) or "0"
         return f"<ideal ({gens})>"
-
-
-def normal_form(p: Poly, ideal: IdealPres) -> Poly:
-    """Unique grevlex remainder of p modulo the ideal; zero exactly on members."""
-    return ideal.normal_form(p)

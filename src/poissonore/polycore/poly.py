@@ -25,6 +25,23 @@ def canonical_ring(names: Iterable[str]) -> tuple[str, ...]:
     return tuple(sorted(set(names), key=lambda v: (_CANON.get(v, len(_CANON)), v)))
 
 
+def fresh_names(ring: tuple[str, ...], names: list[str]) -> tuple[str, ...]:
+    """Auxiliary variable names for an extension of ring.
+
+    Each name is suffixed with underscores until it is neither a ring
+    variable nor an earlier name; names that do not clash come back as
+    they are.
+    """
+    taken = set(ring)
+    out = []
+    for v in names:
+        while v in taken:
+            v += "_"
+        taken.add(v)
+        out.append(v)
+    return tuple(out)
+
+
 # -- monomial orders ---------------------------------------------------
 
 

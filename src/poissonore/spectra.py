@@ -23,7 +23,7 @@ from .polycore import (
     solve_linear,
     solve_system,
 )
-from .polycore.poly import GREVLEX, BlockElim, Expvec, render
+from .polycore.poly import GREVLEX, BlockElim, Expvec, fresh_names, render
 
 DEFAULT_SAMPLES: tuple[GaussRat, ...] = (
     GaussRat.coerce(0),
@@ -106,23 +106,6 @@ def _template(
     return Poly(ring, terms)
 
 
-def _fresh_names(ring: tuple[str, ...], names: list[str]) -> tuple[str, ...]:
-    """Auxiliary variable names for an extension of ring.
-
-    Each name is suffixed with underscores until it is neither a ring
-    variable nor an earlier name; names that do not clash come back as
-    they are.
-    """
-    taken = set(ring)
-    out = []
-    for v in names:
-        while v in taken:
-            v += "_"
-        taken.add(v)
-        out.append(v)
-    return tuple(out)
-
-
 def _split_by_base(expr: Poly, nbase: int, unknown_ring: tuple[str, ...]):
     """Group a combined-ring polynomial by its base-monomial part."""
     grouped: dict[Expvec, dict[Expvec, GaussRat]] = {}
@@ -139,7 +122,7 @@ def _build_invariance(
 ) -> EquationSystem:
     base = delta.ring
     n = len(base)
-    unknown_ring = _fresh_names(
+    unknown_ring = fresh_names(
         base,
         [f"u{k}" for k in range(len(q_exps))] + [f"w{k}" for k in range(len(w_exps))],
     )
@@ -288,7 +271,7 @@ def _stable_step(ideal: IdealPres, delta: Derivation) -> IdealPres:
     ring morphism modulo t^2.
     """
     base = ideal.ring
-    names = _fresh_names(base, ["t"] + [v + "__out" for v in base])
+    names = fresh_names(base, ["t"] + [v + "__out" for v in base])
     outs = names[1:]
     big = base + names
     head = len(base) + 1
@@ -450,7 +433,7 @@ def factorizations(q: Poly) -> list[tuple[Poly, Poly]]:
             continue
         u_sup = [e for e in monomials_upto(n, du) if GREVLEX.key(e) < GREVLEX.key(eu)]
         v_sup = [e for e in monomials_upto(n, dv) if GREVLEX.key(e) < GREVLEX.key(ev)]
-        unknown_ring = _fresh_names(
+        unknown_ring = fresh_names(
             q.ring,
             [f"u{k}" for k in range(len(u_sup))] + [f"v{k}" for k in range(len(v_sup))],
         )
@@ -530,14 +513,12 @@ class SpectrumEntry:
     def generator_strings(self) -> tuple[str, ...]:
         return tuple(render(g) for g in self.generators)
 
-    def instances(
-        self, samples: tuple[GaussRat, ...] = DEFAULT_SAMPLES
-    ) -> list[tuple[Poly, ...]]:
+    def instances(self) -> list[tuple[Poly, ...]]:
         """Generator tuples with every parameter replaced by sample values."""
         if not self.parameters:
             return [self.generators]
         out = []
-        for values in itertools.product(samples, repeat=len(self.parameters)):
+        for values in itertools.product(DEFAULT_SAMPLES, repeat=len(self.parameters)):
             gens = []
             for g in self.generators:
                 for name, val in zip(self.parameters, values):
@@ -670,9 +651,7 @@ def classify_delta_spectrum(delta: Derivation, dmax: int) -> SpectrumDescription
     return SpectrumDescription("ore", completeness, tuple(entries), dmax)
 
 
-def classify_exact_spectrum(
-    a: Poly, samples: tuple[GaussRat, ...] = DEFAULT_SAMPLES
-) -> SpectrumDescription:
+def classify_exact_spectrum(a: Poly) -> SpectrumDescription:
     """Poisson-prime spectrum for the exact bracket with potential a(x, y).
 
     The potential is a central element, so height-one primes are the
@@ -700,7 +679,7 @@ def classify_exact_spectrum(
             ("prime exactly when the fiber polynomial is irreducible",),
         )
     )
-    for lam in samples:
+    for lam in DEFAULT_SAMPLES:
         fiber = a - Poly.constant(ring, lam)
         if fiber.total_degree() < 1:
             continue
@@ -739,11 +718,7 @@ def _instance_ideal(gens: tuple[Poly, ...], bracket_ring: tuple[str, ...]) -> Id
     return IdealPres(bracket_ring, [g.embed(bracket_ring) for g in gens])
 
 
-def gamma_map(
-    desc: SpectrumDescription,
-    delta: Derivation,
-    samples: tuple[GaussRat, ...] = DEFAULT_SAMPLES,
-) -> SpectrumDescription:
+def gamma_map(desc: SpectrumDescription, delta: Derivation) -> SpectrumDescription:
     """Transport a spectrum to the other side, reverifying every entry.
 
     The generators are carried over unchanged; what changes is the
@@ -760,7 +735,7 @@ def gamma_map(
     verified = "twist-stability" if target == "ore" else "bracket-closure"
     out = []
     for entry in desc.entries:
-        for gens in entry.instances(samples):
+        for gens in entry.instances():
             ideal = _instance_ideal(gens, bracket_ring)
             if target == "ore":
                 check = is_delta_ideal(ideal, dz)
@@ -785,14 +760,12 @@ def gamma_map(
 
 
 def spectrum_inclusions(
-    desc: SpectrumDescription,
-    base_ring: tuple[str, ...],
-    samples: tuple[GaussRat, ...] = DEFAULT_SAMPLES,
+    desc: SpectrumDescription, base_ring: tuple[str, ...]
 ) -> tuple[tuple[int, int], ...]:
     """Pairs (i, j) with entry i strictly inside entry j on all sampled instances."""
     bracket_ring = base_ring + ("z",)
     instantiated = [
-        [_instance_ideal(gens, bracket_ring) for gens in e.instances(samples)]
+        [_instance_ideal(gens, bracket_ring) for gens in e.instances()]
         for e in desc.entries
     ]
     out = []

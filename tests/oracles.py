@@ -4,8 +4,9 @@ Nothing here may call the code path it checks: bracket expansion goes
 through the bivector formula instead of the z-strata closed form,
 ideal membership goes through bounded linear algebra instead of basis
 reduction, the stable-curve search goes through sympy's solver, reduced
-Groebner bases come from sympy's groebner, and univariate roots over
-QQ(i) come from the linear factors of sympy's factorization over QQ(i).
+Groebner bases come from sympy's groebner, univariate roots over QQ(i)
+come from the linear factors of sympy's factorization over QQ(i), and
+gcds come from sympy's gcd over QQ(i).
 """
 
 from __future__ import annotations
@@ -215,3 +216,13 @@ def groebner_by_sympy(gens: list[Poly], order: MonomialOrder) -> list[Poly]:
         for g in basis.polys
     ]
     return sorted(out, key=lambda g: order.key(g.leading_monomial(order)), reverse=True)
+
+
+def gcd_by_sympy(p: Poly, q: Poly) -> Poly:
+    """gcd(p, q) from sympy's gcd over QQ(i), made monic in grevlex; gcd(0, 0) is 0."""
+    import sympy
+
+    ring = p.ring
+    symbols = {v: sympy.Symbol(v) for v in ring}
+    f, g = (sympy.Poly(_to_sympy(a, symbols), *symbols.values(), domain="QQ_I") for a in (p, q))
+    return Poly(ring, {e: _gauss_from_sympy(c) for e, c in sympy.gcd(f, g).terms()}).monic()

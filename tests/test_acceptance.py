@@ -188,7 +188,7 @@ def test_criterion_4_gwj_spectrum_and_transport(capsys):
         fiber = next(e for e in desc.entries if e.kind == "point-fiber")
         ring = fiber.ring
         seen = set()
-        for gens in fiber.instances(DEFAULT_SAMPLES):
+        for gens in fiber.instances():
             seen.add(frozenset(IdealPres(ring, list(gens)).basis_strings()))
         want = set()
         for alpha in DEFAULT_SAMPLES:
