@@ -45,6 +45,7 @@ from .spectra import (
 )
 
 DEFAULT_DMAX = 2
+DELTA_HELP = "derivation images, e.g. x=2*y,y=y^2+x"
 
 
 def _emit(payload: dict, text: str, as_json: bool) -> None:
@@ -94,11 +95,9 @@ def _triple_from_spec(spec: str) -> PoissonTriple:
 
 
 def _structure(args):
-    if getattr(args, "triple", None):
+    if args.triple is not None:
         return _triple_from_spec(args.triple)
-    if getattr(args, "delta", None):
-        return DeltaBracket(_delta_from_spec(args.delta))
-    raise ParseError("need --delta or --triple", 0)
+    return DeltaBracket(_delta_from_spec(args.delta))
 
 
 def _inputs(args, count: int) -> list[str]:
@@ -116,10 +115,12 @@ def _show(args, p: Poly) -> str:
 
 
 def _add_common(sub, exprs: int = 0, delta: bool = False, triple: bool = False):
-    if delta:
-        sub.add_argument("--delta", help="derivation images, e.g. x=2*y,y=y^2+x")
     if triple:
-        sub.add_argument("--triple", help="components f=EXPR,g=EXPR,h=EXPR")
+        group = sub.add_mutually_exclusive_group(required=True)
+        group.add_argument("--delta", help=DELTA_HELP)
+        group.add_argument("--triple", help="components f=EXPR,g=EXPR,h=EXPR")
+    elif delta:
+        sub.add_argument("--delta", required=True, help=DELTA_HELP)
     if exprs:
         sub.add_argument("exprs", nargs="*", metavar="EXPR")
         sub.add_argument("--file", help="read expressions from a file, one per line")
@@ -282,7 +283,7 @@ def _cmd_image_solve(args) -> int:
 
 
 def _classification(args):
-    if getattr(args, "exact", None):
+    if args.exact is not None:
         a = parse_poly(args.exact, canonical_ring(("x", "y")))
         return classify_exact_spectrum(a), exact_derivation(a)
     delta = _delta_from_spec(args.delta)
@@ -416,8 +417,9 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         # the spectrum renders its own generators, in grevlex: no --order
         sub = subs.add_parser(name, help=text)
-        sub.add_argument("--delta", help="derivation images, e.g. x=2*y,y=y^2+x")
-        sub.add_argument("--exact", help="potential a(x, y) for the exact bracket")
+        group = sub.add_mutually_exclusive_group(required=True)
+        group.add_argument("--delta", help=DELTA_HELP)
+        group.add_argument("--exact", help="potential a(x, y) for the exact bracket")
         sub.add_argument("--dmax", type=int, default=DEFAULT_DMAX)
         sub.add_argument("--json", action="store_true")
         sub.set_defaults(fn=fn)

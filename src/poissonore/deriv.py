@@ -39,11 +39,16 @@ class Derivation:
             raise DerivationError(f"no image for variable {v!r}") from None
 
     def apply(self, p: Poly) -> Poly:
-        """d(p) = sum over variables of d(v) * dp/dv (the Leibniz extension)."""
+        """d(p) = sum over variables of d(v) * dp/dv (the Leibniz extension).
+
+        Variables with a zero image are skipped: they add nothing.
+        """
         p = p.embed(self.ring)
         out = Poly.zero(self.ring)
         for v in p.used_vars():
-            out = out + self.image(v) * p.partial(v)
+            image = self.image(v)
+            if image:
+                out = out + image * p.partial(v)
         return out
 
     def is_zero(self) -> bool:

@@ -1,8 +1,13 @@
 """Skew polynomials in z over a commutative base, z*d = d*z + twist(d).
 
-Elements are kept in left normal form: a tuple of base-ring
-coefficients, index = power of z.  Multiplication pushes z past
-coefficients one step at a time; no closed form for z^n * d is assumed.
+An element is kept as its left normal form sum a_j z^j, read as one
+commutative polynomial over base ring + ('z',): the skew ring and the
+Poisson algebra A[z] share that space, and sum, negation and equality
+are those of the polynomial.  Only the product differs.  It pushes z
+past a polynomial P one step at a time, z*P = (P with every z-exponent
+raised by one) + twist~(P), where twist~ extends the twist by z -> 0.
+No closed form for z^n * d is assumed, so the Leibniz expansion
+z^n d = sum C(n, k) twist^k(d) z^(n-k) remains an independent check.
 """
 
 from __future__ import annotations
@@ -12,15 +17,22 @@ from .polycore import GaussRat, Poly
 from .polycore.poly import render
 
 
+def _z_ring(twist: Derivation) -> tuple[str, ...]:
+    if "z" in twist.ring:
+        raise ValueError("the base ring of a skew polynomial cannot contain z")
+    return twist.ring + ("z",)
+
+
 class SkewPoly:
-    __slots__ = ("twist", "coeffs")
+    __slots__ = ("twist", "poly")
 
     def __init__(self, twist: Derivation, coeffs: tuple[Poly, ...] | list[Poly]):
-        coeffs = [c.embed(twist.ring) for c in coeffs]
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
+        terms = {}
+        for k, c in enumerate(coeffs):
+            for e, a in c.embed(twist.ring).terms.items():
+                terms[e + (k,)] = a  # z is the last variable
         object.__setattr__(self, "twist", twist)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        object.__setattr__(self, "poly", Poly(_z_ring(twist), terms))
 
     def __setattr__(self, name, value):
         raise AttributeError("SkewPoly is immutable")
@@ -33,20 +45,15 @@ class SkewPoly:
 
     @staticmethod
     def z(twist: Derivation) -> "SkewPoly":
-        ring = twist.ring
-        return SkewPoly(twist, (Poly.zero(ring), Poly.one(ring)))
+        return SkewPoly.from_poly(twist, Poly.var(_z_ring(twist), "z"))
 
     @staticmethod
     def from_poly(twist: Derivation, p: Poly) -> "SkewPoly":
         """Read a commutative polynomial in base vars and z as left normal form."""
-        if "z" not in p.ring:
-            return SkewPoly.from_base(twist, p)
-        strata = p.strata("z")
-        n = max(strata) if strata else -1
-        ring = twist.ring
-        return SkewPoly(
-            twist, [strata.get(k, Poly.zero(ring)) for k in range(n + 1)]
-        )
+        out = object.__new__(SkewPoly)
+        object.__setattr__(out, "twist", twist)
+        object.__setattr__(out, "poly", p.embed(_z_ring(twist)))
+        return out
 
     # -- basic structure --------------------------------------------------
 
@@ -54,24 +61,22 @@ class SkewPoly:
     def base_ring(self) -> tuple[str, ...]:
         return self.twist.ring
 
-    def deg_z(self) -> int:
-        return len(self.coeffs) - 1
+    @property
+    def coeffs(self) -> tuple[Poly, ...]:
+        """The base coefficients of z^0, z^1, ..., without trailing zeros."""
+        strata = self.poly.strata("z")
+        zero = Poly.zero(self.base_ring)
+        return tuple(strata.get(k, zero) for k in range(max(strata, default=-1) + 1))
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return self.poly.is_zero()
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def coeff(self, k: int) -> Poly:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return Poly.zero(self.base_ring)
+        return bool(self.poly)
 
     def to_poly(self) -> Poly:
         """The underlying commutative expression in base vars plus z."""
-        ring = self.base_ring + ("z",)
-        return Poly.from_strata(ring, "z", dict(enumerate(self.coeffs)))
+        return self.poly
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -81,43 +86,33 @@ class SkewPoly:
 
     def __add__(self, other: "SkewPoly") -> "SkewPoly":
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return SkewPoly(self.twist, [self.coeff(k) + other.coeff(k) for k in range(n)])
+        return SkewPoly.from_poly(self.twist, self.poly + other.poly)
 
     def __sub__(self, other: "SkewPoly") -> "SkewPoly":
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return SkewPoly(self.twist, [self.coeff(k) - other.coeff(k) for k in range(n)])
+        return SkewPoly.from_poly(self.twist, self.poly - other.poly)
 
     def __neg__(self) -> "SkewPoly":
-        return SkewPoly(self.twist, [-c for c in self.coeffs])
-
-    def _z_times(self) -> "SkewPoly":
-        """Left multiplication by z: z*(d z^j) = d z^(j+1) + twist(d) z^j."""
-        ring = self.base_ring
-        out = [Poly.zero(ring)] * (len(self.coeffs) + 1)
-        for j, d in enumerate(self.coeffs):
-            out[j + 1] = out[j + 1] + d
-            out[j] = out[j] + self.twist.apply(d)
-        return SkewPoly(self.twist, out)
+        return SkewPoly.from_poly(self.twist, -self.poly)
 
     def __mul__(self, other):
-        if isinstance(other, (Poly, GaussRat, int)):
-            if isinstance(other, Poly):
-                other = SkewPoly.from_base(self.twist, other)
-            else:
-                other = SkewPoly.from_base(
-                    self.twist, Poly.constant(self.base_ring, other)
-                )
+        if isinstance(other, (GaussRat, int)):
+            other = Poly.constant(self.base_ring, other)
+        if isinstance(other, Poly):
+            other = SkewPoly.from_base(self.twist, other)
         self._check(other)
-        total = SkewPoly(self.twist, ())
-        shifted = other
-        for i, d in enumerate(self.coeffs):
-            if d:
-                total = total + SkewPoly(self.twist, [d * c for c in shifted.coeffs])
-            if i + 1 < len(self.coeffs):
-                shifted = shifted._z_times()
-        return total
+        ring = self.poly.ring
+        twist_z = self.twist.extend_zero("z")
+        strata = self.poly.strata("z")
+        top = max(strata, default=-1)
+        total = Poly.zero(ring)
+        shifted = other.poly  # z^i * other, in left normal form
+        for i in range(top + 1):
+            if i in strata:
+                total = total + strata[i].embed(ring) * shifted
+            if i < top:
+                shifted = Poly.from_strata(ring, "z", {1: shifted}) + twist_z.apply(shifted)
+        return SkewPoly.from_poly(self.twist, total)
 
     def __pow__(self, n: int) -> "SkewPoly":
         if n < 0:
@@ -130,10 +125,10 @@ class SkewPoly:
     def __eq__(self, other):
         if not isinstance(other, SkewPoly):
             return NotImplemented
-        return self.twist == other.twist and self.coeffs == other.coeffs
+        return self.twist == other.twist and self.poly == other.poly
 
     def __repr__(self):
-        return f"<skew {render(self.to_poly())}>"
+        return f"<skew {render(self.poly)}>"
 
 
 def commutator(u: SkewPoly, v: SkewPoly) -> SkewPoly:
@@ -174,27 +169,19 @@ def unquantize(twist: Derivation) -> Derivation:
 def semiclassical_bracket(u: SkewPoly, v: SkewPoly) -> Poly:
     """(1/h) [u, v] at h = 0, read as a commutative polynomial in z.
 
-    The twist must be h*delta; then every commutator coefficient has
-    no h^0 stratum, its quotient by h at h = 0 is its h^1 stratum, and
-    these strata form the z-bracket of the images of u and v in the
-    commutative specialization.
+    The twist must be h*delta; then the commutator has no h^0 stratum,
+    its quotient by h at h = 0 is its h^1 stratum, and that stratum is
+    the z-bracket of the images of u and v in the commutative
+    specialization.
     """
     unquantize(u.twist)  # validates the twist shape
-    w = commutator(u, v)
-    base = tuple(v2 for v2 in u.twist.ring if v2 != "h")
-    ring = base + ("z",)
-    strata = {}
-    for k, c in enumerate(w.coeffs):
-        hs = c.strata("h")
-        if 0 in hs:
-            raise ArithmeticError("commutator coefficient not divisible by h")
-        strata[k] = hs.get(1, Poly.zero(base))
-    return Poly.from_strata(ring, "z", strata)
+    strata = commutator(u, v).poly.strata("h")
+    if 0 in strata:
+        raise ArithmeticError("commutator coefficient not divisible by h")
+    return strata.get(1, Poly.zero(tuple(x for x in u.poly.ring if x != "h")))
 
 
 def specialize_classical(u: SkewPoly) -> Poly:
-    """Image of u at h = 0 with z commutative: the h^0 strata of its coefficients."""
-    base = tuple(v for v in u.twist.ring if v != "h")
-    ring = base + ("z",)
-    strata = {k: c.strata("h").get(0, Poly.zero(base)) for k, c in enumerate(u.coeffs)}
-    return Poly.from_strata(ring, "z", strata)
+    """Image of u at h = 0 with z commutative: the h^0 stratum of u."""
+    ring = tuple(v for v in u.poly.ring if v != "h")
+    return u.poly.strata("h").get(0, Poly.zero(ring))

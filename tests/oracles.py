@@ -1,8 +1,9 @@
 """Independent reference routes for cross-checking the library.
 
 Nothing here may call the code path it checks: bracket expansion goes
-through the bivector formula instead of the z-strata closed form,
-ideal membership goes through bounded linear algebra instead of basis
+through the bivector formula instead of the z-strata closed form, Ore
+products through the Leibniz expansion of z^i * b instead of one step
+of z at a time, ideal membership goes through bounded linear algebra instead of basis
 reduction, the stable-curve search goes through sympy's solver, reduced
 Groebner bases come from sympy's groebner, univariate roots over QQ(i)
 come from the linear factors of sympy's factorization over QQ(i), and
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import comb
 
 from poissonore import Derivation, GaussRat, Poly, render
 from poissonore.polycore import MonomialOrder
@@ -31,6 +33,28 @@ def bracket_by_biderivation(delta: Derivation, p: Poly, q: Poly) -> Poly:
     for v in delta.ring:
         dv = delta.image(v).embed(ring)
         out = out + dv * (p.partial("z") * q.partial(v) - p.partial(v) * q.partial("z"))
+    return out
+
+
+def ore_product_by_leibniz(delta: Derivation, a: Poly, b: Poly) -> Poly:
+    """The product a*b in A[z; delta] of two left normal forms.
+
+    a and b are read as polynomials in the base variables and z; the
+    product comes back the same way.  It expands through
+    z^i b = sum_k C(i, k) delta^k(b) z^(i-k) on their z-strata.
+    """
+    ring = delta.ring + ("z",)
+    a_strata = a.embed(ring).strata("z")
+    b_strata = b.embed(ring).strata("z")
+    out = Poly.zero(ring)
+    for j, bj in b_strata.items():
+        power = bj  # delta^k(b_j)
+        for k in range(max(a_strata, default=0) + 1):
+            for i, ai in a_strata.items():
+                if i >= k:
+                    zpow = Poly.monomial(ring, {"z": i - k + j}, comb(i, k))
+                    out = out + (ai * power).embed(ring) * zpow
+            power = delta.apply(power)
     return out
 
 

@@ -230,6 +230,50 @@ def test_spectrum_names_are_reserved(capsys):
     assert err.startswith("error: ") and "alpha" in err
 
 
+def usage_error(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["darboux"], "the following arguments are required: --delta"),
+        (["core", "--ideal", "x"], "the following arguments are required: --delta"),
+        (["image-solve", "1"], "the following arguments are required: --delta"),
+        (["ore-mul", "z", "x"], "the following arguments are required: --delta"),
+        (["commutator", "z", "x"], "the following arguments are required: --delta"),
+        (["semiclassical", "z", "x"], "the following arguments are required: --delta"),
+        (["classify"], "one of the arguments --delta --exact is required"),
+        (["gamma"], "one of the arguments --delta --exact is required"),
+        (["jacobi"], "one of the arguments --delta --triple is required"),
+    ],
+)
+def test_missing_structure_is_a_usage_error(capsys, argv, message):
+    code, out, err = usage_error(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bracket", "--delta", "x=1", "--triple", "f=x,g=y,h=z", "x", "y"],
+        ["jacobi", "--delta", "x=1", "--triple", "f=x,g=y,h=z"],
+        ["ham", "--delta", "x=1", "--triple", "f=x,g=y,h=z", "x"],
+        ["singular", "--delta", "x=1", "--triple", "f=x,g=y,h=z"],
+        ["classify", "--delta", "x=1", "--exact", "x^2+y^2"],
+        ["gamma", "--delta", "x=1", "--exact", "x^2+y^2"],
+    ],
+)
+def test_conflicting_structures_are_a_usage_error(capsys, argv):
+    code, out, err = usage_error(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: ") and "not allowed with argument --delta" in err
+
+
 def test_file_input(capsys, tmp_path):
     src = tmp_path / "exprs.txt"
     src.write_text("z\nx\n")

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from conftest import rand_derivation, rand_poly
+from oracles import ore_product_by_leibniz
 from poissonore import (
     DeltaBracket,
     IdealPres,
@@ -32,6 +33,10 @@ def _gwj():
 
 def _weyl():
     return derivation(("x",), x=Poly.one(("x",)))
+
+
+def _ox():
+    return derivation(BASE, x=parse_poly("y^3", BASE), y=parse_poly("1 - x*y", BASE))
 
 
 def _rand_skew(rng, twist, zdeg=3, cdeg=2):
@@ -64,6 +69,45 @@ def test_left_normal_form():
         + SkewPoly.from_base(d, d.apply(dy))
     )
     assert p.to_poly() == expected.to_poly()
+
+
+def test_product_matches_leibniz_oracle():
+    rng = random.Random(806)
+    for twist in (_weyl(), _gwj(), _ox(), quantize(_gwj())):
+        for _ in range(8):
+            u, v = (
+                SkewPoly(twist, [rand_poly(rng, twist.ring, 2, terms=3) for _ in range(4)])
+                for _ in range(2)
+            )
+            uv = ore_product_by_leibniz(twist, u.to_poly(), v.to_poly())
+            vu = ore_product_by_leibniz(twist, v.to_poly(), u.to_poly())
+            assert (u * v).to_poly() == uv
+            assert commutator(u, v).to_poly() == uv - vu
+
+
+def test_coeffs_contract():
+    d = _gwj()
+    x, y, zero = Poly.var(BASE, "x"), Poly.var(BASE, "y"), Poly.zero(BASE)
+    assert SkewPoly(d, [x, zero, y, zero, zero]).coeffs == (x, zero, y)
+    assert SkewPoly(d, ()).coeffs == ()
+    assert SkewPoly(d, [zero, zero]).coeffs == ()
+    assert not SkewPoly(d, [zero])
+    # coefficients over a smaller ring are embedded in the twist's ring
+    twist = quantize(d)
+    assert SkewPoly(twist, [x]).coeffs == (x.embed(twist.ring),)
+    rng = random.Random(807)
+    for _ in range(10):
+        u = _rand_skew(rng, d)
+        assert SkewPoly(d, u.coeffs) == u
+
+
+def test_twist_ring_with_z_is_refused():
+    ring = ("x", "z")
+    d = derivation(ring, x=Poly.one(ring), z=Poly.zero(ring))
+    with pytest.raises(ValueError):
+        SkewPoly(d, [Poly.var(ring, "z")])
+    with pytest.raises(ValueError):
+        SkewPoly.z(d)
 
 
 def test_to_poly_roundtrip():
