@@ -284,10 +284,13 @@ def _cmd_image_solve(args) -> int:
 
 def _classification(args):
     if args.exact is not None:
+        if args.dmax is not None:
+            raise ValueError("--dmax does not apply to --exact, whose classification is complete")
         a = parse_poly(args.exact, canonical_ring(("x", "y")))
         return classify_exact_spectrum(a), exact_derivation(a)
     delta = _delta_from_spec(args.delta)
-    return classify_delta_spectrum(delta, args.dmax), delta
+    dmax = DEFAULT_DMAX if args.dmax is None else args.dmax
+    return classify_delta_spectrum(delta, dmax), delta
 
 
 def _cmd_classify(args) -> int:
@@ -324,11 +327,6 @@ def _cmd_example(args) -> int:
     if cfg is None:
         print(f"unknown example {args.name!r}", file=sys.stderr)
         return 2
-    if cfg.kind == "triple":
-        check = is_poisson_triple(cfg.structure())
-        payload = {"name": cfg.name, "summary": cfg.summary, "poisson": bool(check)}
-        _emit(payload, f"poisson: {bool(check)}", args.json)
-        return 0 if check else 1
     desc = _spectrum_for(cfg)
     reproduced = None
     expected = cfg.expected_basis_sets()
@@ -420,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
         group = sub.add_mutually_exclusive_group(required=True)
         group.add_argument("--delta", help=DELTA_HELP)
         group.add_argument("--exact", help="potential a(x, y) for the exact bracket")
-        sub.add_argument("--dmax", type=int, default=DEFAULT_DMAX)
+        sub.add_argument("--dmax", type=int, help=f"with --delta only (default {DEFAULT_DMAX})")
         sub.add_argument("--json", action="store_true")
         sub.set_defaults(fn=fn)
 

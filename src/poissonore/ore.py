@@ -183,5 +183,7 @@ def semiclassical_bracket(u: SkewPoly, v: SkewPoly) -> Poly:
 
 def specialize_classical(u: SkewPoly) -> Poly:
     """Image of u at h = 0 with z commutative: the h^0 stratum of u."""
+    if "h" not in u.twist.ring:
+        raise ValueError("twist does not involve h")
     ring = tuple(v for v in u.poly.ring if v != "h")
     return u.poly.strata("h").get(0, Poly.zero(ring))

@@ -1,7 +1,7 @@
 """Named example structures, stored as plain config data.
 
 The registry is the data half of the CLI: each entry names a bracket
-(by derivation images, a triple, or an exact potential), a search
+(by derivation images or an exact potential), a search
 bound, and optionally the expected spectrum as generator lists.
 """
 
@@ -14,7 +14,7 @@ from typing import Iterable
 
 from .deriv import Derivation, exact_derivation
 from .parser import parse_poly
-from .poisson import DeltaBracket, PoissonTriple, TRIPLE_RING
+from .poisson import DeltaBracket
 from .polycore import IdealPres, Poly, canonical_ring
 
 # Expected-spectrum strings may mention the fiber parameters.
@@ -32,7 +32,6 @@ class ExampleConfig:
     kind: str
     ring: tuple[str, ...]
     images: tuple[tuple[str, str], ...] = ()
-    triple: tuple[str, str, str] | None = None
     potential: str | None = None
     dmax: int = 2
     expected: tuple[tuple[str, ...], ...] | None = None
@@ -48,10 +47,7 @@ class ExampleConfig:
             return exact_derivation(parse_poly(self.potential, self.ring))
         raise ValueError(f"{self.name}: no derivation for kind {self.kind!r}")
 
-    def structure(self):
-        if self.kind == "triple":
-            f, g, h = (parse_poly(s, TRIPLE_RING) for s in self.triple)
-            return PoissonTriple(f, g, h)
+    def structure(self) -> DeltaBracket:
         return DeltaBracket(self.derivation())
 
     def expected_basis_sets(self) -> set[frozenset[str]] | None:
@@ -72,9 +68,6 @@ def _parse_entry(name: str, section) -> ExampleConfig:
         for key, value in section.items()
         if key.startswith("delta.")
     )
-    triple = None
-    if kind == "triple":
-        triple = (section["f"].strip(), section["g"].strip(), section["h"].strip())
     potential = section.get("potential")
     expected = None
     if "expected" in section:
@@ -88,7 +81,6 @@ def _parse_entry(name: str, section) -> ExampleConfig:
         kind=kind,
         ring=ring,
         images=images,
-        triple=triple,
         potential=potential.strip() if potential else None,
         dmax=section.getint("dmax", 2),
         expected=expected,

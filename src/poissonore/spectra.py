@@ -2,7 +2,9 @@
 
 Everything here is exact over QQ(i).  Searches are degree-bounded and
 say so in their results; an infinite solution family surfaces as
-SolutionFamily instead of a truncated answer.
+SolutionFamily instead of a truncated answer.  Every bounded search
+(Darboux strata, factor splits, preimages under delta, Shamsuddin's r)
+matches coefficients in a system from one builder, _coefficient_system.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .polycore import (
     ONE,
     Poly,
     SolutionFamily,
+    ZERO,
     exact_divide,
     render_coeff,
     solve_linear,
@@ -51,33 +54,114 @@ def monomials_upto(nvars: int, dmax: int) -> list[Expvec]:
     return [e for d in range(dmax, -1, -1) for e in monomials_of_degree(nvars, d)]
 
 
-# -- invariance equations -----------------------------------------------------
+# -- unknown-coefficient systems ------------------------------------------------
 
 
 @dataclass(frozen=True)
 class EquationSystem:
-    """delta(q) = w*q spelled out coefficient by coefficient.
+    """Templates with unknown coefficients, matched monomial by monomial.
 
-    q and the cofactor w carry unknown coefficients (u0, u1, ... and
-    w0, w1, ... along their supports, descending); each equation is the
-    coefficient of one base-ring monomial and must vanish.
+    Each template is lead + sum of unknown * monomial over its support;
+    the unknowns are numbered along the supports, template by template.
+    Each equation is the coefficient of one base-ring monomial of the
+    identity the templates must satisfy, in descending grevlex order.
     """
 
     base_ring: tuple[str, ...]
     unknown_ring: tuple[str, ...]
-    q_template: Poly
-    cofactor_template: Poly
+    shapes: tuple[tuple[Expvec | None, tuple[Expvec, ...]], ...]
     equations: tuple[tuple[Expvec, Poly], ...]
 
     def solve(self) -> list[dict[str, GaussRat]]:
         return solve_system([eq for _, eq in self.equations], self.unknown_ring)
 
-    def instantiate(self, assignment: dict[str, GaussRat]) -> tuple[Poly, Poly]:
-        q, w = self.q_template, self.cofactor_template
-        for v, c in assignment.items():
-            q = q.substitute(v, c)
-            w = w.substitute(v, c)
-        return q.embed(self.base_ring), w.embed(self.base_ring)
+    def solve_affine(self) -> dict[str, GaussRat] | None:
+        """One solution of an affine system, free unknowns set to zero, or None."""
+        eqs = [eq for _, eq in self.equations]
+        if any(eq.total_degree() > 1 for eq in eqs):
+            raise ValueError("system is not affine in its unknowns")
+        m = len(self.unknown_ring)
+        units = [(0,) * k + (1,) + (0,) * (m - k - 1) for k in range(m)]
+        rows = [[eq.terms.get(u, ZERO) for u in units] for eq in eqs]
+        rhs = [-eq.terms.get((0,) * m, ZERO) for eq in eqs]
+        values = solve_linear(rows, rhs)
+        if values is None:
+            return None
+        return dict(zip(self.unknown_ring, values or [ZERO] * m))
+
+    def instantiate(self, assignment: dict[str, GaussRat]) -> tuple[Poly, ...]:
+        """The templates over the base ring, one per shape."""
+        names = iter(self.unknown_ring)
+        out = []
+        for lead, support in self.shapes:
+            terms = {} if lead is None else {lead: ONE}
+            for e in support:
+                terms[e] = assignment[next(names)]
+            out.append(Poly(self.base_ring, terms))
+        return tuple(out)
+
+
+def _coefficient_system(
+    base: tuple[str, ...],
+    shapes: list[tuple[str, Expvec | None, list[Expvec]]],
+    identity,
+) -> EquationSystem:
+    """The system saying identity(*templates) = 0, one template per shape.
+
+    A shape (prefix, lead, support) gives the template lead + sum of
+    prefix<k> * support[k], its unknowns renamed around the base ring;
+    identity maps the templates, over the base ring plus the unknowns,
+    to the polynomial that must vanish.
+    """
+    n = len(base)
+    unknowns = fresh_names(
+        base, [f"{prefix}{k}" for prefix, _, support in shapes for k in range(len(support))]
+    )
+    m = len(unknowns)
+    templates = []
+    k = 0
+    for _, lead, support in shapes:
+        terms = {} if lead is None else {lead + (0,) * m: ONE}
+        for e in support:
+            terms[e + (0,) * k + (1,) + (0,) * (m - k - 1)] = ONE
+            k += 1
+        templates.append(Poly(base + unknowns, terms))
+    grouped: dict[Expvec, dict[Expvec, GaussRat]] = {}
+    for e, c in identity(*templates).terms.items():
+        grouped.setdefault(e[:n], {})[e[n:]] = c
+    equations = sorted(grouped.items(), key=lambda kv: GREVLEX.key(kv[0]), reverse=True)
+    return EquationSystem(
+        base,
+        unknowns,
+        tuple((lead, tuple(support)) for _, lead, support in shapes),
+        tuple((e, Poly(unknowns, t)) for e, t in equations),
+    )
+
+
+def _preimage(base: tuple[str, ...], support: list[Expvec], identity) -> Poly | None:
+    """p on the support with identity(p) = 0, or None; identity is affine in p.
+
+    Free coefficients are set to zero, and the answer is rechecked.
+    """
+    system = _coefficient_system(base, [("u", None, support)], identity)
+    assignment = system.solve_affine()
+    if assignment is None:
+        return None
+    (p,) = system.instantiate(assignment)
+    if identity(p):
+        raise ArithmeticError("linear solve verification failed")
+    return p
+
+
+def _lifted(delta: Derivation, ring: tuple[str, ...]) -> Derivation:
+    """delta on a ring that extends its own, zero on the added variables."""
+    images = {v: delta.image(v) for v in delta.ring}
+    return Derivation(ring, {v: images.get(v, Poly.zero(ring)) for v in ring})
+
+
+def _cofactor_identity(delta: Derivation):
+    """delta(q) - w*q, the identity of a Darboux polynomial q with cofactor w."""
+    return lambda q, w: _lifted(delta, q.ring).apply(q) - w * q
 
 
 def _single_exponent(m: Poly) -> Expvec:
@@ -86,84 +170,29 @@ def _single_exponent(m: Poly) -> Expvec:
     return next(iter(m.terms))
 
 
-def _template(
-    ring: tuple[str, ...], lead: Expvec | None, support: list[Expvec], first: int
-) -> Poly:
-    """lead + sum of u_k * support[k], u_k the variable at ring index first + k.
-
-    Exponents in support and lead cover a leading block of the ring.
-    The terms are kept in that order, lead first, so the equations built
-    from the template come out in a fixed order.
-    """
-    width = len(ring)
-    terms = {}
-    if lead is not None:
-        terms[lead + (0,) * (width - len(lead))] = ONE
-    for k, e in enumerate(support):
-        ex = list(e) + [0] * (width - len(e))
-        ex[first + k] = 1
-        terms[tuple(ex)] = ONE
-    return Poly(ring, terms)
-
-
-def _split_by_base(expr: Poly, nbase: int, unknown_ring: tuple[str, ...]):
-    """Group a combined-ring polynomial by its base-monomial part."""
-    grouped: dict[Expvec, dict[Expvec, GaussRat]] = {}
-    for e, c in expr.terms.items():
-        grouped.setdefault(e[:nbase], {})[e[nbase:]] = c
-    return {k: Poly(unknown_ring, t) for k, t in grouped.items()}
-
-
-def _build_invariance(
-    delta: Derivation,
-    q_exps: list[Expvec],
-    w_exps: list[Expvec],
-    lead: Expvec | None,
-) -> EquationSystem:
-    base = delta.ring
-    n = len(base)
-    unknown_ring = fresh_names(
-        base,
-        [f"u{k}" for k in range(len(q_exps))] + [f"w{k}" for k in range(len(w_exps))],
-    )
-    big = base + unknown_ring
-    q = _template(big, lead, q_exps, n)
-    w = _template(big, None, w_exps, n + len(q_exps))
-
-    lifted = Derivation(
-        big,
-        {
-            **{v: delta.image(v).embed(big) for v in base},
-            **{v: Poly.zero(big) for v in unknown_ring},
-        },
-    )
-    expr = lifted.apply(q) - w * q
-    eqs = _split_by_base(expr, n, unknown_ring)
-    ordered = sorted(eqs.items(), key=lambda kv: GREVLEX.key(kv[0]), reverse=True)
-    return EquationSystem(base, unknown_ring, q, w, tuple(ordered))
-
-
 def invariance_equations(
     delta: Derivation,
     q_support: list[Poly],
     cofactor_support: list[Poly],
     lead: Poly | None = None,
 ) -> EquationSystem:
-    """Equation system for q with unknown coefficients on the given supports.
+    """delta(q) = w*q with unknown coefficients on the given supports.
 
-    Without a lead monomial the scaling freedom of q usually makes the
-    solution set infinite; pass lead to pin its coefficient to one.
+    q and the cofactor w carry the unknowns u0, u1, ... and w0, w1, ...
+    along their supports, descending; instantiate gives (q, w).  Without
+    a lead monomial the scaling freedom of q usually makes the solution
+    set infinite; pass lead to pin its coefficient to one.
     """
-    q_exps = sorted(
-        {_single_exponent(m) for m in q_support}, key=GREVLEX.key, reverse=True
-    )
-    w_exps = sorted(
-        {_single_exponent(m) for m in cofactor_support}, key=GREVLEX.key, reverse=True
-    )
+    def exps(support: list[Poly]) -> list[Expvec]:
+        return sorted({_single_exponent(m) for m in support}, key=GREVLEX.key, reverse=True)
+
     lead_exp = None if lead is None else _single_exponent(lead)
-    if lead_exp is not None:
-        q_exps = [e for e in q_exps if e != lead_exp]
-    return _build_invariance(delta, q_exps, w_exps, lead_exp)
+    q_exps = [e for e in exps(q_support) if e != lead_exp]
+    return _coefficient_system(
+        delta.ring,
+        [("u", lead_exp, q_exps), ("w", None, exps(cofactor_support))],
+        _cofactor_identity(delta),
+    )
 
 
 # -- Darboux search ------------------------------------------------------------
@@ -197,12 +226,15 @@ def darboux_search(delta: Derivation, dmax: int) -> list[DarbouxCertificate]:
     n = len(base)
     wd = max(delta.max_image_degree() - 1, 0)
     w_exps = monomials_upto(n, wd)
+    identity = _cofactor_identity(delta)
     found: list[DarbouxCertificate] = []
     for d in range(1, dmax + 1):
         lower = monomials_upto(n, d)
         for lm in monomials_of_degree(n, d):
             support = [e for e in lower if GREVLEX.key(e) < GREVLEX.key(lm)]
-            system = _build_invariance(delta, support, w_exps, lm)
+            system = _coefficient_system(
+                base, [("u", lm, support), ("w", None, w_exps)], identity
+            )
             try:
                 solutions = system.solve()
             except SolutionFamily as fam:
@@ -309,37 +341,6 @@ def delta_core(ideal: IdealPres, delta: Derivation, max_iter: int = 8) -> CoreRe
     return CoreResult(current, False, max_iter)
 
 
-# -- linear preimages ------------------------------------------------------------------
-
-
-def _solve_linear_map(op, columns: list[Poly], target: Poly) -> Poly | None:
-    """A combination p of the columns with op(p) = target, or None; op is linear.
-
-    Each row is the coefficient of one monomial of the images or the
-    target; free unknowns are set to zero, and the answer is rechecked.
-    """
-    images = [op(col) for col in columns]
-    row_exps = sorted(
-        {e for im in images for e in im.terms} | set(target.terms),
-        key=GREVLEX.key,
-        reverse=True,
-    )
-    zero = GaussRat.coerce(0)
-    index = {e: i for i, e in enumerate(row_exps)}
-    rows = [[zero] * len(columns) for _ in row_exps]
-    for j, im in enumerate(images):
-        for e, cf in im.terms.items():
-            rows[index[e]][j] = cf
-    rhs = [target.terms.get(e, zero) for e in row_exps]
-    solution = solve_linear(rows, rhs)
-    if solution is None:
-        return None
-    p = sum((col * cf for col, cf in zip(columns, solution)), Poly.zero(target.ring))
-    if op(p) != target:
-        raise ArithmeticError("linear solve verification failed")
-    return p
-
-
 # -- simplicity of y' = a y + b extensions ------------------------------------------
 
 
@@ -384,8 +385,11 @@ def shamsuddin_simple(a: Poly, b: Poly, c: Poly | None = None) -> ShamsuddinVerd
     bound = max(candidates)
 
     x = ring[0]
-    columns = [Poly.monomial(ring, {x: j}) for j in range(bound + 1)]
-    witness = _solve_linear_map(lambda r: c * r.partial(x) - a * r, columns, b)
+    witness = _preimage(
+        ring,
+        [(j,) for j in range(bound + 1)],
+        lambda r: c.embed(r.ring) * r.partial(x) - a.embed(r.ring) * r - b.embed(r.ring),
+    )
 
     if dc >= 1:
         return ShamsuddinVerdict(False, witness, bound, "nonconstant c leaves (c) stable")
@@ -402,8 +406,12 @@ def image_solvable(delta: Derivation, target: Poly, dmax: int) -> Poly | None:
     if dmax < 0:
         raise ValueError(f"negative degree bound {dmax}")
     ring = delta.ring
-    columns = [Poly(ring, {e: ONE}) for e in monomials_upto(len(ring), dmax)]
-    return _solve_linear_map(delta.apply, columns, target.embed(ring))
+    target = target.embed(ring)
+    return _preimage(
+        ring,
+        monomials_upto(len(ring), dmax),
+        lambda p: _lifted(delta, p.ring).apply(p) - target.embed(p.ring),
+    )
 
 
 # -- factorization over QQ(i) -----------------------------------------------------------
@@ -433,25 +441,14 @@ def factorizations(q: Poly) -> list[tuple[Poly, Poly]]:
             continue
         u_sup = [e for e in monomials_upto(n, du) if GREVLEX.key(e) < GREVLEX.key(eu)]
         v_sup = [e for e in monomials_upto(n, dv) if GREVLEX.key(e) < GREVLEX.key(ev)]
-        unknown_ring = fresh_names(
-            q.ring,
-            [f"u{k}" for k in range(len(u_sup))] + [f"v{k}" for k in range(len(v_sup))],
+        system = _coefficient_system(
+            q.ring, [("u", eu, u_sup), ("v", ev, v_sup)], lambda u, v: u * v - q.embed(u.ring)
         )
-        big = q.ring + unknown_ring
-        u = _template(big, eu, u_sup, n)
-        v = _template(big, ev, v_sup, n + len(u_sup))
-        expr = u * v - q.embed(big)
-        eqs = list(_split_by_base(expr, n, unknown_ring).values())
-        for sol in solve_system(eqs, unknown_ring):
-            fu, fv = u, v
-            for name, val in sol.items():
-                fu, fv = fu.substitute(name, val), fv.substitute(name, val)
-            fu, fv = fu.embed(q.ring), fv.embed(q.ring)
+        for sol in system.solve():
+            fu, fv = system.instantiate(sol)
             if fu * fv != q:
                 raise ArithmeticError("factor verification failed")
-            first, second = sorted(
-                (fu, fv), key=lambda p: (p.total_degree(), render(p))
-            )
+            first, second = sorted((fu, fv), key=lambda p: (p.total_degree(), render(p)))
             key = (render(first), render(second))
             pairs.setdefault(key, (first, second))
     return [pairs[k] for k in sorted(pairs)]

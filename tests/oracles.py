@@ -6,8 +6,10 @@ products through the Leibniz expansion of z^i * b instead of one step
 of z at a time, ideal membership goes through bounded linear algebra instead of basis
 reduction, the stable-curve search goes through sympy's solver, reduced
 Groebner bases come from sympy's groebner, univariate roots over QQ(i)
-come from the linear factors of sympy's factorization over QQ(i), and
-gcds come from sympy's gcd over QQ(i).
+come from the linear factors of sympy's factorization over QQ(i),
+gcds come from sympy's gcd over QQ(i), irreducible factors from sympy's
+factor_list over QQ(i), and preimages under a derivation from forward
+elimination on the images of monomials.
 """
 
 from __future__ import annotations
@@ -113,6 +115,23 @@ def membership_by_linear_algebra(gens: list[Poly], p: Poly, bound: int) -> bool:
         rhs[index[e]] = c
     if not columns:
         return p.is_zero()
+    return _consistent(rows, rhs)
+
+
+def in_image_by_linear_algebra(delta: Derivation, target: Poly, dmax: int) -> bool:
+    """Whether target = delta(p) for some p of total degree <= dmax.
+
+    The columns are the images of the monomials of degree <= dmax, one row
+    per monomial that any column or the target uses.
+    """
+    ring = delta.ring
+    columns = [
+        delta.apply(Poly.monomial(ring, dict(zip(ring, m))))
+        for m in _monomials_through(ring, dmax)
+    ]
+    support = sorted({e for col in columns for e in col.terms} | set(target.terms))
+    rows = [[col.terms.get(e, GaussRat()) for col in columns] for e in support]
+    rhs = [target.terms.get(e, GaussRat()) for e in support]
     return _consistent(rows, rhs)
 
 
@@ -250,3 +269,26 @@ def gcd_by_sympy(p: Poly, q: Poly) -> Poly:
     symbols = {v: sympy.Symbol(v) for v in ring}
     f, g = (sympy.Poly(_to_sympy(a, symbols), *symbols.values(), domain="QQ_I") for a in (p, q))
     return Poly(ring, {e: _gauss_from_sympy(c) for e, c in sympy.gcd(f, g).terms()}).monic()
+
+
+def factors_by_sympy(p: Poly) -> tuple[GaussRat, list[Poly]]:
+    """Content and monic irreducible factors of p, from sympy's factor_list over QQ(i).
+
+    Each factor is made monic in grevlex and repeated by its
+    multiplicity; the content collects sympy's constant and the leading
+    coefficients taken out, and the factors are sorted by their
+    rendering.
+    """
+    import sympy
+
+    ring = p.ring
+    symbols = {v: sympy.Symbol(v) for v in ring}
+    coeff, factors = sympy.factor_list(_to_sympy(p, symbols), *symbols.values(), gaussian=True)
+    content = _gauss_from_sympy(coeff)
+    out = []
+    for f, k in factors:
+        terms = sympy.Poly(f, *symbols.values(), domain="QQ_I").terms()
+        g = Poly(ring, {e: _gauss_from_sympy(c) for e, c in terms})
+        content = content * g.leading_coeff() ** k
+        out.extend([g.monic()] * k)
+    return content, sorted(out, key=render)

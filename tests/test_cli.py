@@ -224,6 +224,18 @@ def test_variables_named_like_auxiliaries(capsys, argv, name):
     assert (code, as_y(out)) == run(capsys, *map(as_y, argv))[:2]
 
 
+@pytest.mark.parametrize("command", ["classify", "gamma"])
+def test_dmax_beside_exact_is_a_usage_error(capsys, command):
+    code, out, err = run(capsys, command, "--exact", "x^2+y^2", "--dmax", "5")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "--dmax" in err and "--exact" in err
+    # without --dmax the exact classification runs, and --delta keeps its default bound
+    assert run(capsys, command, "--exact", "x^2+y^2")[0] == 0
+    default = run(capsys, command, "--delta", "x=2*y,y=y^2+x")
+    assert default == run(capsys, command, "--delta", "x=2*y,y=y^2+x", "--dmax", "2")
+    assert default[0] == 0 and "degree bound: 2" in default[1]
+
+
 def test_spectrum_names_are_reserved(capsys):
     code, out, err = run(capsys, "classify", "--delta", "alpha=x,x=alpha", "--dmax", "1")
     assert (code, out) == (2, "")

@@ -194,6 +194,13 @@ def test_specialize_classical():
     assert specialize_classical(u * v) == specialize_classical(u) * specialize_classical(v)
 
 
+def test_specialize_classical_refuses_an_h_free_twist():
+    weyl = _weyl()
+    for u in (SkewPoly.z(weyl), SkewPoly.from_base(weyl, Poly.zero(weyl.ring))):
+        with pytest.raises(ValueError, match="^twist does not involve h$"):
+            specialize_classical(u)
+
+
 def test_extended_ideal_stable():
     d = _gwj()
     dz = d.extend_zero("z")

@@ -7,8 +7,8 @@ import random
 
 import pytest
 
-from conftest import rand_derivation, rand_poly
-from oracles import stable_curves_by_sympy
+from conftest import rand_derivation, rand_nonzero_poly, rand_poly
+from oracles import factors_by_sympy, in_image_by_linear_algebra, stable_curves_by_sympy
 from poissonore import (
     Derivation,
     GaussRat,
@@ -212,6 +212,22 @@ def test_shamsuddin_witnesses_check_out():
     assert r.partial("x") == x
 
 
+def test_shamsuddin_planted_witnesses():
+    # with b = c*r' - a*r the equation c*r' = a*r + b has a polynomial solution
+    rng = random.Random(1402)
+    ring = ("x",)
+    for k in range(40):
+        a = rand_poly(rng, ring, rng.randint(0, 3), terms=2, imag=True)
+        c = rand_nonzero_poly(rng, ring, rng.randint(0, 2), terms=2) if k % 3 else None
+        r = rand_poly(rng, ring, rng.randint(0, 4), terms=3, imag=True)
+        cc = Poly.one(ring) if c is None else c
+        b = cc * r.partial("x") - a * r
+        verdict = shamsuddin_simple(a, b, c)
+        assert not verdict.simple and verdict.witness is not None, (a, b, c)
+        w = verdict.witness
+        assert cc * w.partial("x") == a * w + b
+
+
 def test_factorizations():
     x = Poly.var(BASE, "x")
     y = Poly.var(BASE, "y")
@@ -260,6 +276,20 @@ def test_irreducible_factors():
     assert prod == (x * x + y * y) * 2
 
 
+def test_irreducible_factors_match_sympy():
+    rng = random.Random(1403)
+    for _ in range(30):
+        q = rand_nonzero_poly(rng, BASE, rng.randint(1, 2), terms=3, imag=True)
+        for _ in range(rng.randint(0, 2)):
+            f = rand_nonzero_poly(rng, BASE, rng.randint(1, 2), terms=3, imag=True)
+            if (q * f).total_degree() <= 4:
+                q = q * f
+        if q.total_degree() < 1:
+            continue
+        content, factors = irreducible_factors(q)
+        assert (content, sorted(factors, key=render)) == factors_by_sympy(q), q
+
+
 def test_image_solvable():
     ring = ("x",)
     weyl = derivation(ring, x=Poly.one(ring))
@@ -274,6 +304,25 @@ def test_image_solvable():
     assert image_solvable(ox, Poly.one(BASE), 3) is None
     # deterministic output
     assert image_solvable(d, target, 2) == image_solvable(d, target, 2)
+
+
+def test_image_solvable_matches_linear_algebra():
+    rng = random.Random(1401)
+    for k in range(60):
+        dmax = k % 4
+        d = rand_derivation(rng, BASE, deg=rng.randint(0, 2))
+        if k % 2:
+            target = d.apply(rand_poly(rng, BASE, dmax, terms=3))
+        else:
+            target = rand_poly(rng, BASE, 3, terms=3)
+        p = image_solvable(d, target, dmax)
+        assert (p is not None) == in_image_by_linear_algebra(d, target, dmax), (d, target)
+        if p is not None:
+            assert p.total_degree() <= dmax and d.apply(p) == target
+    # no equations at all: the zero derivation and target 0 give p = 0
+    zero = derivation(BASE, x=Poly.zero(BASE), y=Poly.zero(BASE))
+    assert image_solvable(zero, Poly.zero(BASE), 2) == Poly.zero(BASE)
+    assert image_solvable(zero, Poly.one(BASE), 2) is None
 
 
 def test_classify_delta_spectrum_gwj():
