@@ -54,7 +54,7 @@ def _s_poly(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
     out = {}
     _sub_multiple(out, -cf.inverse(), mono_div(l, lf), f)
     _sub_multiple(out, cg.inverse(), mono_div(l, lg), g)
-    return Poly(f.ring, out)
+    return Poly._raw(f.ring, out)
 
 
 def buchberger(gens: Sequence[Poly], order: MonomialOrder = GREVLEX) -> list[Poly]:
@@ -145,7 +145,7 @@ def fglm(basis: Sequence[Poly]) -> list[Poly]:
             nf = reduce_full(Poly.one(ring), basis)
         else:
             shifted = {e[:v] + (e[v] + 1,) + e[v + 1 :]: c for e, c in forms[b].terms.items()}
-            nf = reduce_full(Poly(ring, shifted), basis)
+            nf = reduce_full(Poly._raw(ring, shifted), basis)
         vec, comb = dict(nf.terms), {m: ONE}
         for pivot, row, row_comb in rows:  # each row is zero at the earlier rows' pivots
             c = vec.get(pivot)
@@ -154,11 +154,11 @@ def fglm(basis: Sequence[Poly]) -> list[Poly]:
                 _sub_multiple(comb, c, one, row_comb)
         if not vec:
             lms.append(m)
-            found.append(Poly(ring, comb))
+            found.append(Poly._raw(ring, comb))
             continue
         pivot = next(iter(vec))
         inv = vec[pivot].inverse()
-        rows.append((pivot, Poly(ring, vec) * inv, Poly(ring, comb) * inv))
+        rows.append((pivot, Poly._raw(ring, vec) * inv, Poly._raw(ring, comb) * inv))
         forms[m] = nf
         for w in range(len(ring)):
             xm = m[:w] + (m[w] + 1,) + m[w + 1 :]

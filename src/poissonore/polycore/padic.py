@@ -104,6 +104,28 @@ def _short_vector(c: int, basis: tuple[GaussInt, GaussInt]) -> GaussInt:
     return c - s * a - t * e, -s * b - t * f
 
 
+def _reductions(f: list[GaussInt]) -> Iterator[tuple[int, int, list[int]]]:
+    """(p, iota, f mod P) for each split prime p not dividing N(lc), in increasing order."""
+    lc_norm = _dot(f[-1], f[-1])
+    for p in split_primes():
+        if lc_norm % p:
+            iota = sqrt_minus_one(p)
+            yield p, iota, [(a + b * iota) % p for a, b in f]
+
+
+def squarefree_at_first_prime(f: list[GaussInt]) -> bool:
+    """Whether f mod P is squarefree for the first split prime p not dividing N(lc).
+
+    If so, f has no repeated factor over QQ(i).  By Gauss's lemma over
+    the factorial ring Z[i], a repeated factor would give f = h^2 * k
+    with h of degree >= 1 in Z[i][t].  P does not divide lc(f), so it
+    does not divide lc(h) either: h mod P keeps its degree, and its
+    square divides f mod P.
+    """
+    p, _, fm = next(_reductions(f))
+    return _squarefree_mod(fm, p)
+
+
 def scaled_root_candidates(f: list[GaussInt]) -> list[GaussInt]:
     """Gaussian integers among which lc*r lies for every root r in QQ(i) of f.
 
@@ -134,14 +156,8 @@ def scaled_root_candidates(f: list[GaussInt]) -> list[GaussInt]:
     the lattice vector nearest (c, 0), and that leaves w whenever
     |w| < p^(k/2) / 2, which p^k > 4*B^2 guarantees.
     """
-    lc_norm = _dot(f[-1], f[-1])
-    bound = isqrt(lc_norm) + 1 + isqrt(max(_dot(a, a) for a in f[:-1])) + 1
-    for p in split_primes():
-        if lc_norm % p:
-            iota = sqrt_minus_one(p)
-            fm = [(a + b * iota) % p for a, b in f]
-            if _squarefree_mod(fm, p):
-                break
+    bound = isqrt(_dot(f[-1], f[-1])) + 1 + isqrt(max(_dot(a, a) for a in f[:-1])) + 1
+    p, iota, fm = next(r for r in _reductions(f) if _squarefree_mod(r[2], r[0]))
     m = p
     roots = [x for x in range(p) if not _eval(fm, x, p)]
     while roots and m <= 4 * bound * bound:

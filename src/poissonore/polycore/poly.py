@@ -9,6 +9,7 @@ mathematical equality.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, neg, sub
 from typing import Iterable, Mapping, Sequence, Union
 
 from .scalars import GaussRat, ONE, ZERO, render_coeff
@@ -58,7 +59,7 @@ class Grevlex(MonomialOrder):
     tag = "grevlex"
 
     def key(self, e: Expvec) -> tuple:
-        return (sum(e),) + tuple(-x for x in reversed(e))
+        return (sum(e), *map(neg, reversed(e)))
 
 
 class Lex(MonomialOrder):
@@ -81,12 +82,7 @@ class BlockElim(MonomialOrder):
 
     def key(self, e: Expvec) -> tuple:
         a, b = e[: self.head], e[self.head :]
-        return (
-            (sum(a),)
-            + tuple(-x for x in reversed(a))
-            + (sum(b),)
-            + tuple(-x for x in reversed(b))
-        )
+        return (sum(a), *map(neg, reversed(a)), sum(b), *map(neg, reversed(b)))
 
 
 GREVLEX = Grevlex()
@@ -107,11 +103,11 @@ def mono_divides(a: Expvec, b: Expvec) -> bool:
 
 
 def mono_div(a: Expvec, b: Expvec) -> Expvec:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_mul(a: Expvec, b: Expvec) -> Expvec:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_lcm(a: Expvec, b: Expvec) -> Expvec:
@@ -120,27 +116,58 @@ def mono_lcm(a: Expvec, b: Expvec) -> Expvec:
 
 def _add_term(out: dict[Expvec, GaussRat], e: Expvec, c: GaussRat) -> None:
     """out[e] += c, dropping e when the sum cancels."""
-    s = out.get(e, ZERO) + c
-    if s:
-        out[e] = s
+    s = out.get(e)
+    if s is None:
+        out[e] = c
     else:
-        out.pop(e, None)
+        s = s + c
+        if s:
+            out[e] = s
+        else:
+            del out[e]
 
 
 # -- polynomials -------------------------------------------------------
 
+_new = object.__new__
+
 
 class Poly:
+    """A polynomial over QQ(i): a ring and a canonical term map.
+
+    The constructor validates and cleans its input: every exponent
+    vector must have one non-negative entry per ring variable, and
+    coefficients are coerced with zeros dropped.  Internal code that
+    builds term maps already in that form uses Poly._raw instead.
+    """
+
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring: tuple[str, ...], terms: Mapping[Expvec, Coeff]):
+        ring = tuple(ring)
+        n = len(ring)
         cleaned: dict[Expvec, GaussRat] = {}
         for e, c in terms.items():
+            e = tuple(e)
+            if len(e) != n or any(x < 0 for x in e):
+                raise ValueError(f"exponent vector {e} does not fit ring {ring}")
             c = GaussRat.coerce(c)
             if c:
-                cleaned[tuple(e)] = c
-        object.__setattr__(self, "ring", tuple(ring))
-        object.__setattr__(self, "terms", cleaned)
+                cleaned[e] = c
+        _set_ring(self, ring)
+        _set_terms(self, cleaned)
+
+    @classmethod
+    def _raw(cls, ring: tuple[str, ...], terms: dict[Expvec, GaussRat]) -> "Poly":
+        """Trusted constructor: terms is taken as it is, without a copy.
+
+        Every key must be an exponent tuple of len(ring) non-negative
+        ints and every value a nonzero GaussRat.
+        """
+        p = _new(cls)
+        _set_ring(p, ring)
+        _set_terms(p, terms)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -149,11 +176,12 @@ class Poly:
 
     @staticmethod
     def zero(ring: tuple[str, ...]) -> "Poly":
-        return Poly(ring, {})
+        return Poly._raw(tuple(ring), {})
 
     @staticmethod
     def constant(ring: tuple[str, ...], c: Coeff) -> "Poly":
-        return Poly(ring, {(0,) * len(ring): GaussRat.coerce(c)})
+        c = GaussRat.coerce(c)
+        return Poly._raw(tuple(ring), {(0,) * len(ring): c} if c else {})
 
     @staticmethod
     def one(ring: tuple[str, ...]) -> "Poly":
@@ -241,7 +269,7 @@ class Poly:
         out = dict(self.terms)
         for e, c in other.terms.items():
             _add_term(out, e, c)
-        return Poly(self.ring, out)
+        return Poly._raw(self.ring, out)
 
     __radd__ = __add__
 
@@ -252,26 +280,26 @@ class Poly:
         out = dict(self.terms)
         for e, c in other.terms.items():
             _add_term(out, e, -c)
-        return Poly(self.ring, out)
+        return Poly._raw(self.ring, out)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return Poly(self.ring, {e: -c for e, c in self.terms.items()})
+        return Poly._raw(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussRat)):
             c = GaussRat.coerce(other)
             if not c:
                 return Poly.zero(self.ring)
-            return Poly(self.ring, {e: k * c for e, k in self.terms.items()})
+            return Poly._raw(self.ring, {e: k * c for e, k in self.terms.items()})
         self._check_ring(other)
         out: dict[Expvec, GaussRat] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 _add_term(out, mono_mul(e1, e2), c1 * c2)
-        return Poly(self.ring, out)
+        return Poly._raw(self.ring, out)
 
     __rmul__ = __mul__
 
@@ -303,10 +331,9 @@ class Poly:
         i = self.ring.index(name)
         out: dict[Expvec, GaussRat] = {}
         for e, c in self.terms.items():
-            if e[i]:
-                e2 = e[:i] + (e[i] - 1,) + e[i + 1 :]
-                out[e2] = out.get(e2, ZERO) + c * e[i]
-        return Poly(self.ring, out)
+            if e[i]:  # distinct e give distinct e2
+                out[e[:i] + (e[i] - 1,) + e[i + 1 :]] = c * e[i]
+        return Poly._raw(self.ring, out)
 
     # -- ring changes ------------------------------------------------------
 
@@ -330,7 +357,7 @@ class Poly:
                     )
                 e2[pos[i]] = x
             out[tuple(e2)] = c
-        return Poly(ring, out)
+        return Poly._raw(ring, out)
 
     def substitute(self, name: str, value: "Poly | Coeff") -> "Poly":
         """Substitute for one variable; the result ring drops that variable."""
@@ -349,7 +376,7 @@ class Poly:
             rest = e[:i] + e[i + 1 :]
             for e2, c2 in powers[k].terms.items():
                 _add_term(out, mono_mul(rest, e2), c * c2)
-        return Poly(ring2, out)
+        return Poly._raw(ring2, out)
 
     def evaluate(self, assignment: Mapping[str, GaussRat]) -> GaussRat:
         missing = [v for v in self.used_vars() if v not in assignment]
@@ -371,7 +398,7 @@ class Poly:
         out: dict[int, dict[Expvec, GaussRat]] = {}
         for e, c in self.terms.items():
             out.setdefault(e[i], {})[e[:i] + e[i + 1 :]] = c
-        return {k: Poly(ring2, t) for k, t in sorted(out.items())}
+        return {k: Poly._raw(ring2, t) for k, t in sorted(out.items())}
 
     @staticmethod
     def from_strata(ring: tuple[str, ...], name: str, strata: Mapping[int, "Poly"]) -> "Poly":
@@ -381,7 +408,7 @@ class Poly:
         for k, coeff in strata.items():
             for e, c in coeff.embed(ring).terms.items():
                 _add_term(out, e[:i] + (e[i] + k,) + e[i + 1 :], c)
-        return Poly(ring, out)
+        return Poly._raw(ring, out)
 
     # -- rendering ----------------------------------------------------------
 
@@ -389,13 +416,18 @@ class Poly:
         return render(self)
 
 
+_set_ring = Poly.ring.__set__
+_set_terms = Poly.terms.__set__
+
+
 # -- division ----------------------------------------------------------------
 
 
 def _sub_multiple(out: dict[Expvec, GaussRat], c: GaussRat, m: Expvec, g: Poly) -> None:
     """out -= c * x^m * g, in place."""
+    c = -c
     for e, k in g.terms.items():
-        _add_term(out, mono_mul(m, e), -(c * k))
+        _add_term(out, mono_mul(m, e), c * k)
 
 
 def _divide(p: Poly, divisors: Sequence[Poly], order: MonomialOrder) -> tuple[list, Poly]:
@@ -420,7 +452,7 @@ def _divide(p: Poly, divisors: Sequence[Poly], order: MonomialOrder) -> tuple[li
                 break
         else:
             remainder[e] = work.pop(e)
-    return quotients, Poly(p.ring, remainder)
+    return quotients, Poly._raw(p.ring, remainder)
 
 
 def exact_divide(p: Poly, d: Poly) -> Poly | None:
@@ -429,7 +461,7 @@ def exact_divide(p: Poly, d: Poly) -> Poly | None:
     if d.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     (q,), r = _divide(p, [d], GREVLEX)
-    return None if r else Poly(p.ring, q)
+    return None if r else Poly._raw(p.ring, q)
 
 
 # -- canonical rendering ------------------------------------------------------

@@ -1,29 +1,78 @@
-"""Gaussian rational scalars: the field QQ(i) in exact arithmetic."""
+"""Gaussian rational scalars: the field QQ(i) in exact arithmetic.
+
+A scalar is one integer triple: a Gaussian-integer numerator a + b*i
+over one positive integer denominator d (von zur Gathen & Gerhard,
+Modern Computer Algebra, Sec. 5).  The triple is canonical, d > 0 and
+gcd(a, b, d) = 1, so structurally equal triples are equal values.  Each
+operation does its integer arithmetic and at most one three-way gcd.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from typing import Union
 
 Rat = Union[int, Fraction]
 
+_new = object.__new__
+
+
+def _make(a: int, b: int, d: int) -> "GaussRat":
+    """The scalar (a + b*i)/d from an already canonical triple."""
+    z = _new(GaussRat)
+    _SA(z, a)
+    _SB(z, b)
+    _SD(z, d)
+    return z
+
+
+def _reduce(a: int, b: int, d: int) -> "GaussRat":
+    """The scalar (a + b*i)/d for any d > 0."""
+    g = gcd(a, b, d)
+    if g != 1:
+        return _make(a // g, b // g, d // g)
+    return _make(a, b, d)
+
+
+def _as_rational(v: object, role: str) -> tuple[int, int]:
+    """Numerator and denominator of an exact rational input, in lowest terms."""
+    if isinstance(v, (int, Fraction)):
+        return int(v.numerator), int(v.denominator)
+    raise TypeError(f"GaussRat {role} part must be int or Fraction, not {type(v).__name__}")
+
 
 class GaussRat:
-    """An element a + b*i with a, b exact rationals.
+    """An element (a + b*i)/d of QQ(i) with a, b, d integers.
 
-    Instances are immutable; Fraction keeps both parts in lowest terms
-    with positive denominators, so equal values are structurally equal.
+    Invariant: d > 0 and gcd(a, b, d) == 1, so equal values are
+    structurally equal.  The constructor takes the real and imaginary
+    parts, each an int or a Fraction; anything inexact is refused.
+    Instances are immutable.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re: Rat = 0, im: Rat = 0) -> None:
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        ra, rd = _as_rational(re, "real")
+        ia, id_ = _as_rational(im, "imaginary")
+        # both parts are in lowest terms, so over d = lcm(rd, id_) the
+        # triple has no common factor
+        d = rd * id_ // gcd(rd, id_)
+        _SA(self, ra * (d // rd))
+        _SB(self, ia * (d // id_))
+        _SD(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussRat is immutable")
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     # -- conversions -------------------------------------------------
 
@@ -31,61 +80,71 @@ class GaussRat:
     def coerce(v: "GaussRat | Rat") -> "GaussRat":
         if isinstance(v, GaussRat):
             return v
-        if isinstance(v, (int, Fraction)):
-            return GaussRat(v)
+        if isinstance(v, int):
+            return _make(int(v), 0, 1)
+        if isinstance(v, Fraction):
+            return _make(v.numerator, 0, v.denominator)
         raise TypeError(f"cannot coerce {type(v).__name__} to GaussRat")
 
     # -- predicates --------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self.a or self.b)
 
     # -- arithmetic --------------------------------------------------
 
     def __add__(self, other):
-        o = GaussRat.coerce(other)
-        return GaussRat(self.re + o.re, self.im + o.im)
+        o = other if other.__class__ is GaussRat else GaussRat.coerce(other)
+        d, e = self.d, o.d
+        if d == e:
+            a, b = self.a + o.a, self.b + o.b
+            return _make(a, b, d) if d == 1 else _reduce(a, b, d)
+        return _reduce(self.a * e + o.a * d, self.b * e + o.b * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = GaussRat.coerce(other)
-        return GaussRat(self.re - o.re, self.im - o.im)
+        o = other if other.__class__ is GaussRat else GaussRat.coerce(other)
+        d, e = self.d, o.d
+        if d == e:
+            a, b = self.a - o.a, self.b - o.b
+            return _make(a, b, d) if d == 1 else _reduce(a, b, d)
+        return _reduce(self.a * e - o.a * d, self.b * e - o.b * d, d * e)
 
     def __rsub__(self, other):
         return GaussRat.coerce(other) - self
 
     def __neg__(self):
-        return GaussRat(-self.re, -self.im)
+        return _make(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
-        o = GaussRat.coerce(other)
-        if not self.im and not o.im:
-            return GaussRat(self.re * o.re)
-        return GaussRat(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        o = other if other.__class__ is GaussRat else GaussRat.coerce(other)
+        a, b, c, e = self.a, self.b, o.a, o.b
+        if not b and not e:
+            n, d = a * c, self.d * o.d
+            g = gcd(n, d)
+            return _make(n // g, 0, d // g) if g != 1 else _make(n, 0, d)
+        return _reduce(a * c - b * e, a * e + b * c, self.d * o.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = GaussRat.coerce(other)
-        if not o:
+        o = other if other.__class__ is GaussRat else GaussRat.coerce(other)
+        a, b, c, e = self.a, self.b, o.a, o.b
+        # (a + b*i)/d / ((c + e*i)/f) = (a + b*i)(c - e*i)*f / (d*(c^2 + e^2))
+        n = c * c + e * e
+        if not n:
             raise ZeroDivisionError("division by zero in QQ(i)")
-        n = o.norm()
-        return GaussRat(
-            (self.re * o.re + self.im * o.im) / n,
-            (self.im * o.re - self.re * o.im) / n,
-        )
+        f = o.d
+        return _reduce((a * c + b * e) * f, (b * c - a * e) * f, self.d * n)
 
     def __rtruediv__(self, other):
         return GaussRat.coerce(other) / self
 
     def __pow__(self, n: int):
         if n < 0:
-            return GaussRat(1) / self ** (-n)
-        out = GaussRat(1)
+            return ONE / self ** (-n)
+        out = ONE
         base = self
         while n:
             if n & 1:
@@ -95,25 +154,27 @@ class GaussRat:
         return out
 
     def conjugate(self) -> "GaussRat":
-        return GaussRat(self.re, -self.im)
+        return _make(self.a, -self.b, self.d)
 
     def norm(self) -> Fraction:
         """re^2 + im^2, the multiplicative norm down to QQ."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
 
     def inverse(self) -> "GaussRat":
-        return GaussRat(1) / self
+        return ONE / self
 
     # -- comparison / hashing ----------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = GaussRat(other)
-        if not isinstance(other, GaussRat):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if other.__class__ is not GaussRat:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = GaussRat.coerce(other)
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self) -> int:
+        # the value of the former pair-of-Fractions representation, so
+        # that hash-ordered containers iterate as they always have
         return hash((self.re, self.im))
 
     def sort_key(self) -> tuple[Fraction, Fraction]:
@@ -124,59 +185,57 @@ class GaussRat:
         return render_coeff(self)
 
 
+# slot setters, since GaussRat refuses attribute assignment
+_SA, _SB, _SD = GaussRat.a.__set__, GaussRat.b.__set__, GaussRat.d.__set__
+
+
 def render_coeff(c: GaussRat) -> str:
     """Canonical text of a scalar: 2/3, -i, 2*i, (1-i), (-1/2+3*i).
 
     Mixed values are parenthesized so they can multiply a monomial.
     """
-    if not c.im:
-        return str(c.re)
-    if c.im == 1:
-        im = "i"
-    elif c.im == -1:
-        im = "-i"
+    re, im = c.re, c.im
+    if not im:
+        return str(re)
+    if im == 1:
+        im_text = "i"
+    elif im == -1:
+        im_text = "-i"
     else:
-        im = f"{c.im}*i"
-    if not c.re:
-        return im
-    return f"({c.re}{'' if im.startswith('-') else '+'}{im})"
+        im_text = f"{im}*i"
+    if not re:
+        return im_text
+    return f"({re}{'' if im_text.startswith('-') else '+'}{im_text})"
 
 
-ZERO = GaussRat(0)
-ONE = GaussRat(1)
-I = GaussRat(0, 1)
-
-
-def _fraction_sqrt(f: Fraction) -> Fraction | None:
-    if f < 0:
-        return None
-    pn, pd = isqrt(f.numerator), isqrt(f.denominator)
-    if pn * pn == f.numerator and pd * pd == f.denominator:
-        return Fraction(pn, pd)
-    return None
+ZERO = _make(0, 0, 1)
+ONE = _make(1, 0, 1)
+I = _make(0, 1, 1)
 
 
 def gauss_sqrt(c: GaussRat) -> GaussRat | None:
     """A square root of c inside QQ(i), or None if no such root exists.
 
-    Solves (x + yi)^2 = a + bi over the rationals: x^2 + y^2 must equal
-    the rational square root of the norm, after which x^2 and y^2 are
-    forced.
+    If r^2 = c, then (r*d)^2 = (a + b*i)*d lies in Z[i], which is
+    integrally closed, so r*d lies in Z[i] too.  It therefore suffices to
+    solve (x + y*i)^2 = p + q*i = (a + b*i)*d over the integers:
+    x^2 + y^2 must be the integer square root n of p^2 + q^2,
+    after which x^2 = (n + p)/2 and y^2 = (n - p)/2 are forced and 2xy = q
+    fixes the sign of y.  The root returned has x > 0, or x = 0 and y > 0.
     """
     if not c:
         return ZERO
-    n = _fraction_sqrt(c.norm())
-    if n is None:
+    p, q = c.a * c.d, c.b * c.d
+    n2 = p * p + q * q
+    n = isqrt(n2)
+    if n * n != n2 or (n + p) % 2:
         return None
-    x2 = (c.re + n) / 2
-    x = _fraction_sqrt(x2)
-    if x is None:
+    x2, y2 = (n + p) // 2, (n - p) // 2
+    x, y = isqrt(x2), isqrt(y2)
+    if x * x != x2 or y * y != y2:
         return None
-    if x == 0:
-        y = _fraction_sqrt(n)  # c.re = -n, pure imaginary root
-        if y is None:
-            return None
-        return GaussRat(0, y)
-    y = c.im / (2 * x)
-    root = GaussRat(x, y)
-    return root if root * root == c else None
+    if q < 0:
+        y = -y
+    if 2 * x * y != q:
+        return None
+    return _reduce(x, y, c.d)

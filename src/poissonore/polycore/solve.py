@@ -20,7 +20,7 @@ from math import lcm
 
 from .gcd import gcd_poly
 from .groebner import fglm, groebner_basis
-from .padic import scaled_root_candidates
+from .padic import scaled_root_candidates, squarefree_at_first_prime
 from .poly import GREVLEX, Poly, exact_divide
 from .scalars import GaussRat, ZERO, gauss_sqrt
 
@@ -37,9 +37,12 @@ class SolutionFamily(Exception):
 def univariate_roots(coeffs: list[GaussRat]) -> list[GaussRat]:
     """All roots in QQ(i) of sum(coeffs[k] * t**k), ascending degree.
 
-    Degrees one and two are solved in closed form.  Beyond that, dividing
-    f by gcd(f, f') and clearing denominators gives g over Z[i], with the
-    same roots, each simple, and leading coefficient lc.
+    Degrees one and two are solved in closed form.  Beyond that, f with
+    its denominators cleared is g over Z[i], with the same roots.  When
+    that g is not proved squarefree modulo the first split prime
+    (padic.squarefree_at_first_prime), g is taken instead from f divided
+    by gcd(f, f'): the same roots, each simple.  Let lc be the leading
+    coefficient of g.
     padic.scaled_root_candidates yields one Gaussian integer w per root
     of g modulo a split prime, lifted p-adically and read back by lattice
     reduction.  Each w/lc is kept only if Horner evaluation of f at it
@@ -73,11 +76,11 @@ def univariate_roots(coeffs: list[GaussRat]) -> list[GaussRat]:
             roots.add((-b + s) / (2 * a))
             roots.add((-b - s) / (2 * a))
     else:
-        f = Poly(("t",), {(k,): c for k, c in enumerate(coeffs) if c})
-        g = exact_divide(f, gcd_poly(f, f.partial("t")))  # same roots, each simple
-        part = [g.terms.get((k,), ZERO) for k in range(g.total_degree() + 1)]
-        den = lcm(*(c.re.denominator for c in part), *(c.im.denominator for c in part))
-        ints = [(int(c.re * den), int(c.im * den)) for c in part]
+        ints = _cleared(coeffs)
+        if not squarefree_at_first_prime(ints):
+            f = Poly._raw(("t",), {(k,): c for k, c in enumerate(coeffs) if c})
+            g = exact_divide(f, gcd_poly(f, f.partial("t")))  # same roots, each simple
+            ints = _cleared([g.terms.get((k,), ZERO) for k in range(g.total_degree() + 1)])
         lc = GaussRat(*ints[-1])
         for w in scaled_root_candidates(ints):
             cand = GaussRat(*w) / lc
@@ -87,6 +90,12 @@ def univariate_roots(coeffs: list[GaussRat]) -> list[GaussRat]:
             if not acc:
                 roots.add(cand)
     return sorted(roots, key=GaussRat.sort_key)
+
+
+def _cleared(coeffs: list[GaussRat]) -> list[tuple[int, int]]:
+    """The coefficients times the lcm of their denominators, as Gaussian integers."""
+    den = lcm(*(c.d for c in coeffs))
+    return [(c.a * (den // c.d), c.b * (den // c.d)) for c in coeffs]
 
 
 # -- system solving -----------------------------------------------------------
@@ -113,7 +122,7 @@ def _linear_pivot(p: Poly) -> tuple[str, GaussRat, Poly] | None:
             continue
         if any(e[i] and e != unit for e in p.terms):
             continue
-        rest = Poly(p.ring, {e: c for e, c in p.terms.items() if e != unit})
+        rest = Poly._raw(p.ring, {e: c for e, c in p.terms.items() if e != unit})
         return v, a, rest
     return None
 

@@ -379,8 +379,8 @@ def shamsuddin_simple(a: Poly, b: Poly, c: Poly | None = None) -> ShamsuddinVerd
         candidates.append(db - da)
         if dc - 1 == da:
             ratio = a.leading_coeff() / c.leading_coeff()
-            if not ratio.im and ratio.re.denominator == 1 and ratio.re > 0:
-                candidates.append(int(ratio.re))
+            if not ratio.b and ratio.d == 1 and ratio.a > 0:
+                candidates.append(ratio.a)
     candidates.append(db - dc + 1)
     bound = max(candidates)
 

@@ -202,3 +202,72 @@ def test_render_respects_order():
     p = X ** 2 + X * Y ** 2
     assert render(p, GREVLEX) == "x*y^2 + x^2"
     assert render(p, LEX) == "x^2 + x*y^2"
+
+
+# -- validation and the term-map invariant ------------------------------------
+
+
+@pytest.mark.parametrize("exps", [(1,), (1, 0, 0), (-1, 0), (0, -2), ()])
+def test_constructor_refuses_exponent_vectors_that_do_not_fit(exps):
+    with pytest.raises(ValueError):
+        Poly(RING, {exps: 1})
+
+
+def test_short_exponent_vector_no_longer_truncates_a_product():
+    # Poly(RING, {(1,): 1}) used to be accepted and then x * y rendered "x",
+    # because zip stopped at the shorter vector
+    with pytest.raises(ValueError):
+        Poly(RING, {(1,): 1}) * Y
+    assert render(Poly(RING, {(1, 0): 1}) * Y) == "x*y"
+
+
+def _assert_canonical(p: Poly) -> None:
+    n = len(p.ring)
+    for e, c in p.terms.items():
+        assert type(e) is tuple and len(e) == n
+        assert all(type(x) is int and x >= 0 for x in e)
+        assert isinstance(c, GaussRat) and c
+    assert Poly(p.ring, p.terms) == p
+
+
+def test_random_operation_chains_keep_the_invariant():
+    rng = random.Random(206)
+    ring3 = ("x", "y", "z")
+    for _ in range(40):
+        pool = [rand_poly(rng, ring3, 3, terms=5, imag=True) for _ in range(3)]
+        for _ in range(12):
+            p, q = rng.choice(pool), rng.choice(pool)
+            v = rng.choice(ring3)
+            op = rng.randrange(11)
+            if op == 0:
+                r = p + q
+            elif op == 1:
+                r = p - q
+            elif op == 2:
+                r = p * q
+            elif op == 3:
+                r = -p
+            elif op == 4:
+                r = p * rng.choice([GaussRat(Fraction(-3, 7), 2), Fraction(5, 3), -2, 0])
+            elif op == 5:
+                r = p.partial(v)
+            elif op == 6:
+                r = p.substitute(v, rand_poly(rng, tuple(w for w in ring3 if w != v), 1, terms=2)).embed(ring3)
+            elif op == 7:
+                r = Poly.from_strata(ring3, v, p.strata(v))
+                assert r == p
+            elif op == 8:
+                r = p.embed(("w",) + ring3).embed(ring3)
+                assert r == p
+            elif op == 9:
+                r = exact_divide(p * q, q) if q else p
+                assert r == p
+            else:
+                r = p ** rng.randint(0, 2)
+            _assert_canonical(r)
+            pool.append(r)
+        for p in pool:
+            for q in pool:
+                assert (p == q) == (p - q).is_zero()
+        assert pool[0] * pool[1] == pool[1] * pool[0]
+        assert (pool[0] + pool[1]) - pool[1] == pool[0]

@@ -239,3 +239,23 @@ def test_solve_system_never_asks_for_a_lex_basis(monkeypatch):
         (GaussRat(a), GaussRat(b)) for a, b in ((1, 2), (2, 1), (-1, -2), (-2, -1))
     }
     assert orders and "lex" not in orders
+
+
+def test_univariate_roots_computes_a_gcd_only_for_a_repeated_factor(monkeypatch):
+    # (t - 1)(t - 2)(t - 3) is squarefree mod 5, the first split prime
+    # (i -> 2 there), which proves it squarefree: no gcd is needed
+    calls = []
+    real_gcd = solve_module.gcd_poly
+
+    def spy(p, q):
+        calls.append((p, q))
+        return real_gcd(p, q)
+
+    monkeypatch.setattr(solve_module, "gcd_poly", spy)
+    ring = ("t",)
+    t = Poly.var(ring, "t")
+    simple = (t - 1) * (t - 2) * (t - 3)
+    assert univariate_roots(_coeff_list(simple)) == [GaussRat(1), GaussRat(2), GaussRat(3)]
+    assert calls == []
+    assert univariate_roots(_coeff_list(simple * (t - 1))) == [GaussRat(1), GaussRat(2), GaussRat(3)]
+    assert len(calls) == 1
