@@ -60,13 +60,17 @@ class Derivation:
             return -1
         return max(p.total_degree() for p in self.images.values())
 
-    def extend_zero(self, var: str) -> "Derivation":
-        """The same derivation on ring + (var,), with d(var) = 0."""
-        if var in self.ring:
-            raise DerivationError(f"{var!r} already in ring")
-        ring2 = self.ring + (var,)
+    def extend_zero(self, *names: str) -> "Derivation":
+        """The same derivation on ring + names, with d(v) = 0 for each added v.
+
+        A name already in the ring, or given twice, raises DerivationError.
+        """
+        for k, v in enumerate(names):
+            if v in self.ring or v in names[:k]:
+                raise DerivationError(f"{v!r} already in ring")
+        ring2 = self.ring + names
         imgs = {v: p.embed(ring2) for v, p in self.images.items()}
-        imgs[var] = Poly.zero(ring2)
+        imgs.update(dict.fromkeys(names, Poly.zero(ring2)))
         return Derivation(ring2, imgs)
 
     def scale(self, c: "Poly | GaussRat | int") -> "Derivation":

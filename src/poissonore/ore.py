@@ -27,12 +27,10 @@ class SkewPoly:
     __slots__ = ("twist", "poly")
 
     def __init__(self, twist: Derivation, coeffs: tuple[Poly, ...] | list[Poly]):
-        terms = {}
-        for k, c in enumerate(coeffs):
-            for e, a in c.embed(twist.ring).terms.items():
-                terms[e + (k,)] = a  # z is the last variable
+        # embedding in the base ring first refuses a coefficient that uses z
+        strata = {k: c.embed(twist.ring) for k, c in enumerate(coeffs)}
         object.__setattr__(self, "twist", twist)
-        object.__setattr__(self, "poly", Poly(_z_ring(twist), terms))
+        object.__setattr__(self, "poly", Poly.from_strata(_z_ring(twist), "z", strata))
 
     def __setattr__(self, name, value):
         raise AttributeError("SkewPoly is immutable")

@@ -265,6 +265,8 @@ class Poly:
     def __add__(self, other):
         if isinstance(other, (int, Fraction, GaussRat)):
             other = Poly.constant(self.ring, other)
+        elif not isinstance(other, Poly):
+            return NotImplemented
         self._check_ring(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
@@ -276,6 +278,8 @@ class Poly:
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, GaussRat)):
             other = Poly.constant(self.ring, other)
+        elif not isinstance(other, Poly):
+            return NotImplemented
         self._check_ring(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
@@ -294,6 +298,8 @@ class Poly:
             if not c:
                 return Poly.zero(self.ring)
             return Poly._raw(self.ring, {e: k * c for e, k in self.terms.items()})
+        if not isinstance(other, Poly):
+            return NotImplemented
         self._check_ring(other)
         out: dict[Expvec, GaussRat] = {}
         for e1, c1 in self.terms.items():
@@ -323,6 +329,8 @@ class Poly:
         return self.ring == other.ring and self.terms == other.terms
 
     def __hash__(self):
+        if self.is_constant():  # hashed like the scalar it equals
+            return hash(self.terms.get((0,) * len(self.ring), ZERO))
         return hash((self.ring, frozenset(self.terms.items())))
 
     # -- calculus --------------------------------------------------------
@@ -360,23 +368,27 @@ class Poly:
         return Poly._raw(ring, out)
 
     def substitute(self, name: str, value: "Poly | Coeff") -> "Poly":
-        """Substitute for one variable; the result ring drops that variable."""
+        """Substitute value for one variable; the result ring drops that variable.
+
+        Horner's rule over the strata in name, from the top one down:
+        out = out*value + s_k.  A polynomial free of name comes back
+        re-keyed, with no scalar arithmetic.  An unknown name, or a value
+        that uses name, raises ValueError.
+        """
         i = self.ring.index(name)
         ring2 = self.ring[:i] + self.ring[i + 1 :]
         if isinstance(value, (int, Fraction, GaussRat)):
-            value = Poly.constant(ring2, value)
+            value = GaussRat.coerce(value)
         else:
             value = value.embed(ring2)
-        out: dict[Expvec, GaussRat] = {}
-        powers: dict[int, Poly] = {0: Poly.one(ring2)}
-        for e, c in self.terms.items():
-            k = e[i]
-            if k not in powers:
-                powers[k] = value**k
-            rest = e[:i] + e[i + 1 :]
-            for e2, c2 in powers[k].terms.items():
-                _add_term(out, mono_mul(rest, e2), c * c2)
-        return Poly._raw(ring2, out)
+        strata = self.strata(name)
+        top = max(strata, default=0)
+        out = strata.get(top, Poly._raw(ring2, {}))
+        for k in range(top - 1, -1, -1):
+            out = out * value
+            if k in strata:
+                out = out + strata[k]
+        return out
 
     def evaluate(self, assignment: Mapping[str, GaussRat]) -> GaussRat:
         missing = [v for v in self.used_vars() if v not in assignment]

@@ -42,6 +42,15 @@ def _as_rational(v: object, role: str) -> tuple[int, int]:
     raise TypeError(f"GaussRat {role} part must be int or Fraction, not {type(v).__name__}")
 
 
+def _exact(v: object) -> "GaussRat | None":
+    """v as a GaussRat when it is an int or a Fraction, else None."""
+    if isinstance(v, int):
+        return _make(int(v), 0, 1)
+    if isinstance(v, Fraction):
+        return _make(v.numerator, 0, v.denominator)
+    return None
+
+
 class GaussRat:
     """An element (a + b*i)/d of QQ(i) with a, b, d integers.
 
@@ -78,13 +87,10 @@ class GaussRat:
 
     @staticmethod
     def coerce(v: "GaussRat | Rat") -> "GaussRat":
-        if isinstance(v, GaussRat):
-            return v
-        if isinstance(v, int):
-            return _make(int(v), 0, 1)
-        if isinstance(v, Fraction):
-            return _make(v.numerator, 0, v.denominator)
-        raise TypeError(f"cannot coerce {type(v).__name__} to GaussRat")
+        c = v if isinstance(v, GaussRat) else _exact(v)
+        if c is None:
+            raise TypeError(f"cannot coerce {type(v).__name__} to GaussRat")
+        return c
 
     # -- predicates --------------------------------------------------
 
@@ -94,7 +100,9 @@ class GaussRat:
     # -- arithmetic --------------------------------------------------
 
     def __add__(self, other):
-        o = other if other.__class__ is GaussRat else GaussRat.coerce(other)
+        o = other if other.__class__ is GaussRat else _exact(other)
+        if o is None:
+            return NotImplemented
         d, e = self.d, o.d
         if d == e:
             a, b = self.a + o.a, self.b + o.b
@@ -104,7 +112,9 @@ class GaussRat:
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = other if other.__class__ is GaussRat else GaussRat.coerce(other)
+        o = other if other.__class__ is GaussRat else _exact(other)
+        if o is None:
+            return NotImplemented
         d, e = self.d, o.d
         if d == e:
             a, b = self.a - o.a, self.b - o.b
@@ -112,13 +122,16 @@ class GaussRat:
         return _reduce(self.a * e - o.a * d, self.b * e - o.b * d, d * e)
 
     def __rsub__(self, other):
-        return GaussRat.coerce(other) - self
+        o = _exact(other)
+        return NotImplemented if o is None else o - self
 
     def __neg__(self):
         return _make(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
-        o = other if other.__class__ is GaussRat else GaussRat.coerce(other)
+        o = other if other.__class__ is GaussRat else _exact(other)
+        if o is None:
+            return NotImplemented
         a, b, c, e = self.a, self.b, o.a, o.b
         if not b and not e:
             n, d = a * c, self.d * o.d
@@ -129,7 +142,9 @@ class GaussRat:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = other if other.__class__ is GaussRat else GaussRat.coerce(other)
+        o = other if other.__class__ is GaussRat else _exact(other)
+        if o is None:
+            return NotImplemented
         a, b, c, e = self.a, self.b, o.a, o.b
         # (a + b*i)/d / ((c + e*i)/f) = (a + b*i)(c - e*i)*f / (d*(c^2 + e^2))
         n = c * c + e * e
@@ -139,7 +154,8 @@ class GaussRat:
         return _reduce((a * c + b * e) * f, (b * c - a * e) * f, self.d * n)
 
     def __rtruediv__(self, other):
-        return GaussRat.coerce(other) / self
+        o = _exact(other)
+        return NotImplemented if o is None else o / self
 
     def __pow__(self, n: int):
         if n < 0:
@@ -166,16 +182,16 @@ class GaussRat:
     # -- comparison / hashing ----------------------------------------
 
     def __eq__(self, other) -> bool:
-        if other.__class__ is not GaussRat:
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = GaussRat.coerce(other)
-        return self.a == other.a and self.b == other.b and self.d == other.d
+        o = other if other.__class__ is GaussRat else _exact(other)
+        if o is None:
+            return NotImplemented
+        return self.a == o.a and self.b == o.b and self.d == o.d
 
     def __hash__(self) -> int:
-        # the value of the former pair-of-Fractions representation, so
-        # that hash-ordered containers iterate as they always have
-        return hash((self.re, self.im))
+        # a real value hashes like the int or Fraction it equals
+        if not self.b:
+            return hash(self.a) if self.d == 1 else hash(Fraction(self.a, self.d))
+        return hash((self.a, self.b, self.d))
 
     def sort_key(self) -> tuple[Fraction, Fraction]:
         # total order used only to make enumeration output deterministic

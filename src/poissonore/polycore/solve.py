@@ -154,22 +154,15 @@ def _solve(eqs: list[Poly], ring: tuple[str, ...]) -> list[Assignment]:
         if piv is None:
             continue
         v, a, rest = piv
-        value = (rest * (-a.inverse())).substitute(v, 0)  # rest is free of v
-        rest_ring = _minus(ring, v)
-        reduced = [q.substitute(v, value) for q in live if q is not e]
-        out = []
-        for sol in _solve(reduced, rest_ring):
-            full = dict(sol)
-            full[v] = value.evaluate(sol)
-            out.append(full)
-        return out
+        value = rest.embed(_minus(ring, v)) * (-1 / a)  # rest is free of v
+        return _eliminate([q for q in live if q is not e], ring, v, [value])
 
     for e in live:
         uni = _as_univariate(e)
         if uni is None:
             continue
         v, coeffs = uni
-        return _branch(live, ring, v, univariate_roots(coeffs))
+        return _eliminate(live, ring, v, univariate_roots(coeffs))
 
     gb = groebner_basis(live, GREVLEX)
     if gb[0].is_constant():
@@ -181,7 +174,7 @@ def _solve(eqs: list[Poly], ring: tuple[str, ...]) -> list[Assignment]:
     # every variable has a pure power, so the smallest leading monomial is
     # one of the last variable and its element is univariate in it
     last, coeffs = _as_univariate(gb[-1])
-    return _branch(gb, ring, last, univariate_roots(coeffs))
+    return _eliminate(gb, ring, last, univariate_roots(coeffs))
 
 
 def _unbounded_variable(basis: list[Poly]) -> str | None:
@@ -197,16 +190,21 @@ def _unbounded_variable(basis: list[Poly]) -> str | None:
     return None
 
 
-def _branch(
-    eqs: list[Poly], ring: tuple[str, ...], var: str, roots: list[GaussRat]
+def _eliminate(
+    eqs: list[Poly], ring: tuple[str, ...], var: str, values: list[Poly | GaussRat]
 ) -> list[Assignment]:
+    """Solutions of eqs with var set to each value: the roots, or the one pivot value.
+
+    A pivot value is a polynomial in the other variables, read off at
+    each solution of the substituted system.
+    """
     rest_ring = _minus(ring, var)
     out = []
-    for r in roots:
-        reduced = [q.substitute(var, r) for q in eqs]
+    for value in values:
+        reduced = [q.substitute(var, value) for q in eqs]
         for sol in _solve(reduced, rest_ring):
             full = dict(sol)
-            full[var] = r
+            full[var] = value.evaluate(sol) if isinstance(value, Poly) else value
             out.append(full)
     return out
 

@@ -10,7 +10,7 @@ matches coefficients in a system from one builder, _coefficient_system.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .deriv import Derivation, exact_derivation, is_delta_ideal
 from .poisson import DeltaBracket, PoissonTriple, is_poisson_ideal
@@ -153,15 +153,10 @@ def _preimage(base: tuple[str, ...], support: list[Expvec], identity) -> Poly | 
     return p
 
 
-def _lifted(delta: Derivation, ring: tuple[str, ...]) -> Derivation:
-    """delta on a ring that extends its own, zero on the added variables."""
-    images = {v: delta.image(v) for v in delta.ring}
-    return Derivation(ring, {v: images.get(v, Poly.zero(ring)) for v in ring})
-
-
 def _cofactor_identity(delta: Derivation):
     """delta(q) - w*q, the identity of a Darboux polynomial q with cofactor w."""
-    return lambda q, w: _lifted(delta, q.ring).apply(q) - w * q
+    n = len(delta.ring)
+    return lambda q, w: delta.extend_zero(*q.ring[n:]).apply(q) - w * q
 
 
 def _single_exponent(m: Poly) -> Expvec:
@@ -410,7 +405,7 @@ def image_solvable(delta: Derivation, target: Poly, dmax: int) -> Poly | None:
     return _preimage(
         ring,
         monomials_upto(len(ring), dmax),
-        lambda p: _lifted(delta, p.ring).apply(p) - target.embed(p.ring),
+        lambda p: delta.extend_zero(*p.ring[len(ring):]).apply(p) - target.embed(p.ring),
     )
 
 
@@ -478,23 +473,15 @@ def is_irreducible(q: Poly) -> bool:
 # -- spectra ------------------------------------------------------------------------------
 
 
-_KIND_RANK = {
-    "zero": 0,
-    "principal": 1,
-    "principal-family": 2,
-    "point": 3,
-    "point-fiber": 4,
-}
-
-# Residually-null entries (the ones containing every image of the
-# derivation) are type1; extensions of delta-primes, zero included, are
-# type2.
-_JSON_KIND = {
-    "zero": "type2",
-    "principal": "type2",
-    "principal-family": "type2",
-    "point": "type1",
-    "point-fiber": "type1",
+# Each kind's rank in the entry order and its JSON kind.  Residually-null
+# entries (the ones containing every image of the derivation) are type1;
+# extensions of delta-primes, zero included, are type2.
+_KINDS = {
+    "zero": (0, "type2"),
+    "principal": (1, "type2"),
+    "principal-family": (2, "type2"),
+    "point": (3, "type1"),
+    "point-fiber": (4, "type1"),
 }
 
 
@@ -525,14 +512,14 @@ class SpectrumEntry:
         return out
 
     def sort_key(self) -> tuple:
-        return (_KIND_RANK.get(self.kind, 9), len(self.generators), self.generator_strings())
+        return (_KINDS.get(self.kind, (9,))[0], len(self.generators), self.generator_strings())
 
     def to_json_dict(self) -> dict:
         certs = [{"name": "shape", "value": self.kind}]
         certs.extend({"name": k, "value": v} for k, v in self.certificates)
         certs.extend({"name": "note", "value": n} for n in self.notes)
         return {
-            "kind": _JSON_KIND[self.kind],
+            "kind": _KINDS[self.kind][1],
             "generators": list(self.generator_strings()),
             "parameters": self.parameters[0] if self.parameters else None,
             "certificates": certs,
@@ -711,10 +698,6 @@ def classify_exact_spectrum(a: Poly) -> SpectrumDescription:
 # -- moving between the two sides ------------------------------------------------------
 
 
-def _instance_ideal(gens: tuple[Poly, ...], bracket_ring: tuple[str, ...]) -> IdealPres:
-    return IdealPres(bracket_ring, [g.embed(bracket_ring) for g in gens])
-
-
 def gamma_map(desc: SpectrumDescription, delta: Derivation) -> SpectrumDescription:
     """Transport a spectrum to the other side, reverifying every entry.
 
@@ -733,7 +716,7 @@ def gamma_map(desc: SpectrumDescription, delta: Derivation) -> SpectrumDescripti
     out = []
     for entry in desc.entries:
         for gens in entry.instances():
-            ideal = _instance_ideal(gens, bracket_ring)
+            ideal = IdealPres(bracket_ring, gens)
             if target == "ore":
                 check = is_delta_ideal(ideal, dz)
             else:
@@ -744,14 +727,7 @@ def gamma_map(desc: SpectrumDescription, delta: Derivation) -> SpectrumDescripti
                     f"leaves the residue {check.residue!r}"
                 )
         out.append(
-            SpectrumEntry(
-                entry.kind,
-                entry.ring,
-                entry.generators,
-                entry.parameters,
-                entry.certificates + (("transport-check", verified),),
-                entry.notes,
-            )
+            replace(entry, certificates=entry.certificates + (("transport-check", verified),))
         )
     return SpectrumDescription(target, desc.completeness, tuple(out), desc.degree_bound)
 
@@ -762,7 +738,7 @@ def spectrum_inclusions(
     """Pairs (i, j) with entry i strictly inside entry j on all sampled instances."""
     bracket_ring = base_ring + ("z",)
     instantiated = [
-        [_instance_ideal(gens, bracket_ring) for gens in e.instances()]
+        [IdealPres(bracket_ring, gens) for gens in e.instances()]
         for e in desc.entries
     ]
     out = []

@@ -56,6 +56,13 @@ def test_extend_zero():
     assert dz.apply(z * X.embed(dz.ring)) == z * Y.embed(dz.ring)
     with pytest.raises(DerivationError):
         d.extend_zero("x")
+    # several names at once: the same as adding them one by one
+    dzw = d.extend_zero("z", "w")
+    assert dzw == dz.extend_zero("w")
+    assert d.extend_zero() == d
+    for bad in (("w", "x"), ("w", "w")):
+        with pytest.raises(DerivationError):
+            d.extend_zero(*bad)
 
 
 def test_scale():

@@ -81,7 +81,10 @@ def test_exact_triples_are_poisson():
 
 def test_delta_bracket_closed_form_matches_biderivation():
     rng = random.Random(703)
-    for delta in (_gwj(), derivation(("x",), x=Poly.one(("x",)))):
+    draws = random.Random(705)
+    deltas = [_gwj(), derivation(("x",), x=Poly.one(("x",)))]
+    deltas += [rand_derivation(draws, base) for base in (BASE, BASE, ("x", "y", "w"), ("x", "y", "w"))]
+    for delta in deltas:
         structure = DeltaBracket(delta)
         for _ in range(60):
             p = rand_poly(rng, structure.bracket_ring, 3)

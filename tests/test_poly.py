@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import rand_poly
-from poissonore import GaussRat, I, Poly, exact_divide, render
+from conftest import rand_gauss, rand_nonzero_poly, rand_poly
+from poissonore import GaussRat, I, Poly, SkewPoly, derivation, exact_divide, render
 from poissonore.polycore import BlockElim, GREVLEX, LEX, canonical_ring, order_by_tag
 
 RING = ("x", "y")
@@ -137,6 +138,62 @@ def test_substitute_multi_term_value_into_several_powers():
     expected = Poly(ry, {(3,): -I, (2,): -3, (1,): I * 4 + 1, (0,): 2})
     assert (X ** 3 + X + Y).substitute("x", value) == expected
     assert (X + Y).substitute("x", Poly(ry, {(1,): -1})).is_zero()
+
+
+def test_substitute_matches_evaluation_at_random_points():
+    rng = random.Random(212)
+    ring, rest = ("x", "y", "w"), ("y", "w")
+    x = Poly.var(ring, "x")
+    for _ in range(40):
+        p = rand_poly(rng, ring, 3, imag=True)
+        inputs = [
+            p,
+            Poly.zero(ring),
+            rand_poly(rng, rest, 3, imag=True).embed(ring),  # free of x
+            x ** rng.randint(4, 6) * rand_nonzero_poly(rng, ring, 2, imag=True) + p,
+        ]
+        q = rand_poly(rng, rest, 2, terms=3, imag=True)
+        values = [q, q.embed(ring), Poly.zero(rest), rand_gauss(rng), rng.randint(-3, 3)]
+        pt = {"y": rand_gauss(rng), "w": rand_gauss(rng)}
+        for f in inputs:
+            for value in values:
+                at = value.evaluate(pt) if isinstance(value, Poly) else GaussRat.coerce(value)
+                out = f.substitute("x", value)
+                assert out.ring == rest
+                assert out.evaluate(pt) == f.evaluate({**pt, "x": at})
+    for f in (x + 1, Poly.zero(ring), Poly.one(ring)):
+        with pytest.raises(ValueError):
+            f.substitute("v", 1)
+        with pytest.raises(ValueError):
+            f.substitute("x", x + 1)
+
+
+def test_mixed_operands_defer_to_the_other_operand_or_raise_type_error():
+    p = X * Y + 1
+    assert GaussRat(2) * p == p * 2 == 2 * p
+    assert GaussRat(2) + p == p + 2
+    assert GaussRat(2) - p == 2 - p == -(p - 2)
+    assert GaussRat(Fraction(1, 2)) * p == p * Fraction(1, 2)
+    skew = SkewPoly.z(derivation(RING, x=Y, y=X))
+    for bad in (1.5, "a", skew):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(p, bad)
+    for bad in (1.5, "a", None):
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            with pytest.raises(TypeError):
+                op(GaussRat(1, 2), bad)
+            with pytest.raises(TypeError):
+                op(bad, GaussRat(1, 2))
+
+
+def test_equal_values_hash_alike():
+    for c in (0, 3, Fraction(1, 2), GaussRat(Fraction(-2, 3)), GaussRat(1, 1)):
+        const = Poly.constant(RING, c)
+        assert const == c and hash(const) == hash(c) == hash(GaussRat.coerce(c))
+        assert c in {const} and const in {c}
+    assert GaussRat(3) == 3 and 3 in {GaussRat(3)}
+    assert hash(GaussRat(Fraction(1, 2))) == hash(Fraction(1, 2))
 
 
 def test_evaluate():

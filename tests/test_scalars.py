@@ -139,7 +139,9 @@ def _check(g: GaussRat, m: _Pair) -> None:
     assert g.d > 0 and gcd(g.a, g.b, g.d) == 1
     assert (g.re, g.im) == (m.re, m.im)
     assert g == GaussRat(m.re, m.im)
-    assert hash(g) == hash((m.re, m.im))
+    assert hash(g) == hash(GaussRat(m.re, m.im))
+    if not m.im:  # equal to a Fraction, so hashed like it
+        assert g == m.re and hash(g) == hash(m.re)
 
 
 def test_triple_matches_the_fraction_pair_model():
@@ -198,7 +200,8 @@ def test_equal_values_are_equal_triples_however_built():
         for g in built:
             assert (g.a, g.b, g.d) == (k, 0, 1)
             assert g == k and g == Fraction(k) and g == built[0]
-            assert hash(g) == hash(built[0]) == hash((Fraction(k), Fraction(0)))
+            assert hash(g) == hash(built[0]) == hash(k) == hash(Fraction(k))
+            assert k in {g} and g in {k} and Fraction(k) in {g}
     half_third = [
         GaussRat(Fraction(1, 2), Fraction(1, 3)),
         GaussRat(Fraction(3, 6), Fraction(2, 6)),
@@ -207,7 +210,7 @@ def test_equal_values_are_equal_triples_however_built():
     ]
     for g in half_third:
         assert (g.a, g.b, g.d) == (3, 2, 6)
-        assert hash(g) == hash((Fraction(1, 2), Fraction(1, 3)))
+        assert hash(g) == hash(half_third[0])
     assert len(set(half_third)) == 1
 
 
