@@ -12,6 +12,8 @@ z^n d = sum C(n, k) twist^k(d) z^(n-k) remains an independent check.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .deriv import Derivation
 from .polycore import GaussRat, Poly
 from .polycore.poly import render
@@ -83,10 +85,14 @@ class SkewPoly:
             raise ValueError("skew polynomials over different twists")
 
     def __add__(self, other: "SkewPoly") -> "SkewPoly":
+        if not isinstance(other, SkewPoly):
+            return NotImplemented
         self._check(other)
         return SkewPoly.from_poly(self.twist, self.poly + other.poly)
 
     def __sub__(self, other: "SkewPoly") -> "SkewPoly":
+        if not isinstance(other, SkewPoly):
+            return NotImplemented
         self._check(other)
         return SkewPoly.from_poly(self.twist, self.poly - other.poly)
 
@@ -94,10 +100,12 @@ class SkewPoly:
         return SkewPoly.from_poly(self.twist, -self.poly)
 
     def __mul__(self, other):
-        if isinstance(other, (GaussRat, int)):
+        if isinstance(other, (GaussRat, int, Fraction)):
             other = Poly.constant(self.base_ring, other)
         if isinstance(other, Poly):
             other = SkewPoly.from_base(self.twist, other)
+        elif not isinstance(other, SkewPoly):
+            return NotImplemented
         self._check(other)
         ring = self.poly.ring
         twist_z = self.twist.extend_zero("z")

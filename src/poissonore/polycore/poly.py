@@ -9,7 +9,7 @@ mathematical equality.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, neg, sub
+from operator import add, le, neg, sub
 from typing import Iterable, Mapping, Sequence, Union
 
 from .scalars import GaussRat, ONE, ZERO, render_coeff
@@ -99,7 +99,7 @@ def order_by_tag(tag: str) -> MonomialOrder:
 
 
 def mono_divides(a: Expvec, b: Expvec) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a: Expvec, b: Expvec) -> Expvec:
@@ -111,7 +111,7 @@ def mono_mul(a: Expvec, b: Expvec) -> Expvec:
 
 
 def mono_lcm(a: Expvec, b: Expvec) -> Expvec:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def _add_term(out: dict[Expvec, GaussRat], e: Expvec, c: GaussRat) -> None:

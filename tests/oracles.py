@@ -3,13 +3,15 @@
 Nothing here may call the code path it checks: bracket expansion goes
 through the bivector formula instead of the z-strata closed form, Ore
 products through the Leibniz expansion of z^i * b instead of one step
-of z at a time, ideal membership goes through bounded linear algebra instead of basis
-reduction, the stable-curve search goes through sympy's solver, reduced
-Groebner bases come from sympy's groebner, univariate roots over QQ(i)
-come from the linear factors of sympy's factorization over QQ(i),
-gcds come from sympy's gcd over QQ(i), irreducible factors from sympy's
-factor_list over QQ(i), and preimages under a derivation from forward
-elimination on the images of monomials.
+of z at a time, ideal membership goes through bounded linear algebra
+instead of basis reduction, the stable-curve search goes through sympy's
+solver, reduced Groebner bases come from sympy's groebner, S-polynomials
+from Poly arithmetic over QQ(i) instead of Buchberger's fraction-free
+form over Z[i], univariate roots over QQ(i) come from the linear factors
+of sympy's factorization over QQ(i), gcds come from sympy's gcd over
+QQ(i), irreducible factors from sympy's factor_list over QQ(i), and
+preimages under a derivation from forward elimination on the images of
+monomials.
 """
 
 from __future__ import annotations
@@ -240,18 +242,25 @@ def roots_by_sympy(coeffs: list[GaussRat]) -> set[GaussRat]:
 def groebner_by_sympy(gens: list[Poly], order: MonomialOrder) -> list[Poly]:
     """The reduced basis of (gens) from sympy's groebner over QQ(i).
 
-    order must be grevlex or lex; each element is made monic in the
-    package's order, and the list is sorted by descending leading
-    monomial, the package's presentation.
+    order must be grevlex, lex or a BlockElim, which is sympy's product
+    of grevlex on the leading block and grevlex on the rest; each element
+    is made monic in the package's order, and the list is sorted by
+    descending leading monomial, the package's presentation.
     """
     import sympy
+    from sympy.polys.orderings import ProductOrder, grevlex
 
     ring = gens[0].ring
     symbols = {v: sympy.Symbol(v) for v in ring}
+    if order.tag.startswith("elim:"):
+        head = order.head
+        sympy_order = ProductOrder((grevlex, lambda m: m[:head]), (grevlex, lambda m: m[head:]))
+    else:
+        sympy_order = order.tag
     basis = sympy.groebner(
         [_to_sympy(g, symbols) for g in gens],
         *symbols.values(),
-        order=order.tag,
+        order=sympy_order,
         domain="QQ_I",
     )
     out = [
@@ -259,6 +268,18 @@ def groebner_by_sympy(gens: list[Poly], order: MonomialOrder) -> list[Poly]:
         for g in basis.polys
     ]
     return sorted(out, key=lambda g: order.key(g.leading_monomial(order)), reverse=True)
+
+
+def s_polynomial(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
+    """x^(l - lm f)*f/lc(f) - x^(l - lm g)*g/lc(g) with l = lcm(lm f, lm g), by Poly arithmetic."""
+    lf, cf = f.leading_term(order)
+    lg, cg = g.leading_term(order)
+    l = tuple(map(max, lf, lg))
+
+    def cofactor(lm, c):
+        return Poly(f.ring, {tuple(a - b for a, b in zip(l, lm)): c.inverse()})
+
+    return cofactor(lf, cf) * f - cofactor(lg, cg) * g
 
 
 def gcd_by_sympy(p: Poly, q: Poly) -> Poly:

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from conftest import rand_nonzero_poly, rand_poly
-from oracles import groebner_by_sympy
-from poissonore import IdealPres, Poly, render
+from oracles import groebner_by_sympy, s_polynomial
+from poissonore import GaussRat, IdealPres, Poly, parse_poly, render
 from poissonore.polycore import BlockElim, GREVLEX, LEX, groebner_basis, reduce_full
-from poissonore.polycore.groebner import _s_poly, buchberger
+from poissonore.polycore.groebner import buchberger
 from poissonore.polycore.poly import _divide, mono_divides
 
 RING = ("x", "y")
@@ -160,6 +161,64 @@ def test_reduced_basis_matches_sympy():
             assert groebner_basis(ideal, order) == groebner_by_sympy(ideal, order)
 
 
+def _big(rng: random.Random) -> GaussRat:
+    """A non-real scalar whose parts have 13-digit numerators and denominators."""
+    re, im, d = (rng.randint(10**12, 10**13) for _ in range(3))
+    return GaussRat(Fraction(re, d), Fraction(-im, d + 1))
+
+
+def test_fraction_free_basis_matches_sympy():
+    # Buchberger runs over Z[i]: Gaussian leading coefficients, huge
+    # numerators and denominators, and unit ideals, in three orders
+    ring = ("x", "y", "z")
+    one = Poly.one(ring)
+    rng = random.Random(406)
+    units = nonreal = 0
+    for order in (GREVLEX, LEX, BlockElim(1)):
+        for k in range(8):
+            gens = []
+            for _ in range(rng.randint(2, 3) if k % 2 else 4):
+                g = rand_nonzero_poly(rng, ring, 2, terms=3, imag=True)
+                if k % 2:  # a common zero at the origin, so never the unit ideal
+                    g = _trim(g) or Poly.var(ring, rng.choice(ring))
+                gens.append(Poly(ring, {e: c * _big(rng) for e, c in g.terms.items()}))
+            nonreal += sum(1 for g in gens if g.leading_coeff(order).im)
+            basis = groebner_basis(gens, order)
+            assert basis == groebner_by_sympy(gens, order), (order.tag, k)
+            units += basis == [one]
+    assert units >= 3 and nonreal >= 40, (units, nonreal)
+
+
+# The coefficient system that `factorizations` solves when it splits
+# 3/4*x^4 + (1/2-1/2*i)*x^3*y - 1/2*x^2*y^2 - 9/2*x^3 + (-3+3*i)*x^2*y
+# + 3*x*y^2 - 9/2*i*x^2 + (-3-3*i)*x*y + 3*i*y^2 into two quadrics,
+# after the solver's linear eliminations.  Its remainders have Gaussian
+# leading coefficients; kept with them, Gaussian factors build up in the
+# fraction-free run that no integer content removes.
+QUARTIC_SPLIT = [
+    "v0^3 + (-2/3+2/3*i)*v0^2 - 2*v0*v1 - 2/3*v0 + (2/3-2/3*i)*v1",
+    "v0^2*v1 + (-2/3+2/3*i)*v0*v1 - v1^2 - 2/3*v1",
+    "3*v0^2*v2 + 6*v0^2 + (-4/3+4/3*i)*v0*v2 - 2*v1*v2 - 2*v0*v3 + (-4+4*i)*v0 - 6*v1 - 2/3*v2"
+    " + (2/3-2/3*i)*v3 - 4",
+    "2*v0*v1*v2 + v0^2*v3 + 6*v0*v1 + (-2/3+2/3*i)*v1*v2 + (-2/3+2/3*i)*v0*v3 - 2*v1*v3"
+    " + (-4+4*i)*v1 - 2/3*v3",
+    "3*v0*v2^2 + 12*v0*v2 + (-2/3+2/3*i)*v2^2 - 2*v2*v3 - 2*v0*v4 - 6*i*v0 + (-4+4*i)*v2 - 6*v3"
+    " + (2/3-2/3*i)*v4 + (4+4*i)",
+    "v1*v2^2 + 2*v0*v2*v3 + v0^2*v4 + 6*v1*v2 + 6*v0*v3 + (-2/3+2/3*i)*v2*v3 - v3^2"
+    " + (-2/3+2/3*i)*v0*v4 - 2*v1*v4 - 6*i*v1 + (-4+4*i)*v3 - 2/3*v4 - 4*i",
+    "v2^3 + 6*v2^2 - 2*v2*v4 - 6*i*v2 - 6*v4",
+    "v2^2*v3 + 2*v0*v2*v4 + 6*v2*v3 + 6*v0*v4 + (-2/3+2/3*i)*v2*v4 - 2*v3*v4 - 6*i*v3"
+    " + (-4+4*i)*v4",
+    "v2^2*v4 + 6*v2*v4 - v4^2 - 6*i*v4",
+]
+
+
+def test_quartic_split_system_matches_sympy():
+    ring = ("v0", "v1", "v2", "v3", "v4")
+    gens = [parse_poly(g, ring) for g in QUARTIC_SPLIT]
+    assert groebner_basis(gens, GREVLEX) == groebner_by_sympy(gens, GREVLEX)
+
+
 def test_buchberger_output_satisfies_buchbergers_criterion():
     # the raw output, not the reduced basis: every S-polynomial of it and
     # every input generator reduces to zero by it, so the pair criteria
@@ -180,7 +239,8 @@ def test_buchberger_output_satisfies_buchbergers_criterion():
             assert all(reduce_full(g, out, order).is_zero() for g in gens)
             for i, f in enumerate(out):
                 for g in out[:i]:
-                    assert reduce_full(_s_poly(f, g, order), out, order).is_zero(), (order.tag, k)
+                    s = s_polynomial(f, g, order)
+                    assert reduce_full(s, out, order).is_zero(), (order.tag, k)
             if any(g and g.is_constant() for g in gens):
                 assert out == [one]
             elif out == [one]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +11,7 @@ from conftest import rand_derivation, rand_poly
 from oracles import ore_product_by_leibniz
 from poissonore import (
     DeltaBracket,
+    GaussRat,
     IdealPres,
     Poly,
     SkewPoly,
@@ -99,6 +101,21 @@ def test_coeffs_contract():
     for _ in range(10):
         u = _rand_skew(rng, d)
         assert SkewPoly(d, u.coeffs) == u
+
+
+def test_foreign_operands():
+    # sums take skew polynomials only; products also take base polynomials and exact scalars
+    d = _gwj()
+    z = SkewPoly.z(d)
+    for other in (1, 1.5, Fraction(1, 2), Poly.var(BASE, "x")):
+        with pytest.raises(TypeError):
+            z + other
+        with pytest.raises(TypeError):
+            z - other
+    with pytest.raises(TypeError):
+        z * 1.5
+    half = GaussRat(Fraction(1, 2))
+    assert z * Fraction(1, 2) == z * half == SkewPoly.from_base(d, Poly.constant(BASE, half)) * z
 
 
 def test_twist_ring_with_z_is_refused():
