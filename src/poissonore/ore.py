@@ -120,6 +120,13 @@ class SkewPoly:
                 shifted = Poly.from_strata(ring, "z", {1: shifted}) + twist_z.apply(shifted)
         return SkewPoly.from_poly(self.twist, total)
 
+    def __rmul__(self, other):
+        """a * self for a base element a, which multiplies each coefficient."""
+        if isinstance(other, Poly):
+            return SkewPoly.from_base(self.twist, other) * self
+        # scalars are central
+        return self * other if isinstance(other, (GaussRat, int, Fraction)) else NotImplemented
+
     def __pow__(self, n: int) -> "SkewPoly":
         if n < 0:
             raise ValueError("negative power in a skew ring")

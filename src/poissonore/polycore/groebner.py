@@ -1,21 +1,19 @@
 """Buchberger's algorithm, FGLM, normal forms, and ideal presentations.
 
 Reduced Groebner bases are the workhorse for every ideal question in
-this package: membership, equality, containment, elimination.  Normal
-forms use the division algorithm `poly._divide` (Cox, Little, O'Shea,
-Ideals, Varieties, and Algorithms, Thm. 2.3.3) over QQ(i), since they
-need the exact remainder.  Membership does not depend on the order, so
-it uses the grevlex basis.
+this package: membership, equality, containment, elimination.  Every
+reduction goes through the one division loop, `poly._remainder`, over
+Z[i]; `reduce_full` scales its remainder back to the exact remainder over
+QQ(i).  Membership does not depend on the order, so it uses the grevlex
+basis.
 
 `buchberger` keeps its pending pairs in a heap under the normal
 selection strategy, drops the pairs that the Gebauer-Moller criteria
 and the coprimality criterion prove redundant, and stops with [1] at the
-first nonzero constant remainder.  It runs fraction-free, over Z[i]:
-each element it keeps is a private term map of Gaussian integers (a, b)
-with a positive integer leading coefficient and no integer content.  A
-real leading coefficient is what keeps the coefficients small: see the
-docstring of `buchberger`.  It returns its elements made monic, as
-Polys over QQ(i), so callers never see the Z[i] form.
+first nonzero constant remainder.  Its elements are divisors of
+`poly._remainder`, with positive integer leading coefficients (the
+docstring of `buchberger` says why), and it returns them made monic,
+over QQ(i).
 
 `groebner_basis` cuts that monic output to a minimal basis, one element
 per minimal leading monomial, and reduces each kept element once by the
@@ -25,17 +23,16 @@ so this is the reduced basis, which is unique (Cox, Little, O'Shea,
 Prop. 2.7.6); it is returned sorted by descending leading monomial, so
 identical ideals give identical bases on every run.  `fglm` converts
 the grevlex basis of a zero-dimensional ideal to the reduced lex basis
-by linear algebra on normal forms, which is how the solver gets its lex
-basis.
+by linear algebra on normal forms over QQ(i), which is how the solver
+gets its lex basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from math import gcd, lcm
-from operator import add, le, sub
-from typing import Callable, Iterable, Sequence
+from math import gcd
+from typing import Iterable, Sequence
 
 from .poly import (
     GREVLEX,
@@ -43,8 +40,14 @@ from .poly import (
     Expvec,
     MonomialOrder,
     Poly,
-    _divide,
-    _sub_multiple,
+    _Element,
+    _element,
+    _integral,
+    _Keys,
+    _rational,
+    _remainder,
+    _sub_scaled,
+    _ZiTerms,
     mono_div,
     mono_divides,
     mono_lcm,
@@ -55,106 +58,16 @@ from .scalars import ONE, _reduce as _gauss
 
 
 def reduce_full(p: Poly, basis: Sequence[Poly], order: MonomialOrder = GREVLEX) -> Poly:
-    """Remainder of p after full reduction by basis (every term reduced)."""
-    return _divide(p, basis, order)[1]
+    """Remainder of p after full reduction by basis (every term reduced).
 
-
-# Buchberger's private form of a polynomial: a term map from exponent
-# vectors to Gaussian integers a + b*i, stored as pairs (a, b).
-_ZiTerms = dict[Expvec, tuple[int, int]]
-# The terms of an element other than its leading one, as triples (e, a, b).
-_Tail = list[tuple[Expvec, int, int]]
-# An element Buchberger keeps: its leading monomial, its leading
-# coefficient (a positive integer), its tail, and its whole term map.
-_Element = tuple[Expvec, int, _Tail, _ZiTerms]
-
-
-def _integral(p: Poly) -> _ZiTerms:
-    """p times the lcm of its denominators, as a Z[i] term map."""
-    d = 1
-    for c in p.terms.values():
-        d = lcm(d, c.d)
-    return {e: (c.a * (d // c.d), c.b * (d // c.d)) for e, c in p.terms.items()}
-
-
-def _normalize(terms: _ZiTerms, lm: Expvec) -> _ZiTerms:
-    """terms times the conjugate of its leading coefficient, over its integer content.
-
-    The leading coefficient of the result is a positive integer.
+    `poly._remainder` on den*p, p cleared of denominators, returns s*den
+    times the exact remainder over QQ(i).
     """
-    a, b = terms[lm]
-    if b:
-        terms = {e: (x * a + y * b, y * a - x * b) for e, (x, y) in terms.items()}
-    elif a < 0:
-        terms = {e: (-x, -y) for e, (x, y) in terms.items()}
-    g = 0
-    for x, y in terms.values():
-        g = gcd(g, x, y)
-        if g == 1:
-            return terms
-    return {e: (x // g, y // g) for e, (x, y) in terms.items()}
-
-
-def _sub_scaled(work: _ZiTerms, u: int, v: int, m: Expvec, tail: _Tail) -> None:
-    """work -= (u + v*i) * x^m * tail, in place, dropping the terms that cancel."""
-    for t, x, y in tail:
-        t = tuple(map(add, m, t))
-        p, q = u * x - v * y, u * y + v * x
-        old = work.get(t)
-        if old is None:
-            work[t] = (-p, -q)
-        else:
-            p, q = old[0] - p, old[1] - q
-            if p or q:
-                work[t] = (p, q)
-            else:
-                del work[t]
-
-
-def _remainder(
-    work: _ZiTerms, reducers: list[_Element], key: Callable[[Expvec], tuple]
-) -> _ZiTerms:
-    """The remainder of work by the reducers, up to a positive integer factor.
-
-    The division algorithm of `poly._divide` without fractions: to cancel
-    the leading term (u + v*i)*x^e of what is left by a reducer with
-    leading term a*x^lm, everything left and the remainder so far are
-    multiplied by a/g, and (u + v*i)/g * x^(e - lm) times the reducer is
-    subtracted, where g = gcd(a, u, v).  Because a is an integer, that
-    factor is an integer.  The remainder comes out in descending order,
-    its leading term first.  work is consumed.
-    """
-    rem: _ZiTerms = {}
-    while work:
-        e = max(work, key=key)
-        for lm, a, tail, _ in reducers:
-            if all(map(le, lm, e)):
-                u, v = work.pop(e)
-                g = gcd(a, u, v)
-                if g != a:
-                    f = a // g
-                    for part in (work, rem):
-                        for t, (x, y) in part.items():
-                            part[t] = (x * f, y * f)
-                _sub_scaled(work, u // g, v // g, tuple(map(sub, e, lm)), tail)
-                break
-        else:
-            rem[e] = work.pop(e)
-    return rem
-
-
-class _Keys(dict):
-    """order.key of each exponent vector, computed on first use.
-
-    One Buchberger run asks for the keys of the same monomials many times.
-    """
-
-    def __init__(self, order: MonomialOrder):
-        self.order = order
-
-    def __missing__(self, e: Expvec) -> tuple:
-        k = self[e] = self.order.key(e)
-        return k
+    key = _Keys(order).__getitem__
+    divisors = [_element(_integral(g)[0], max(g.terms, key=key)) for g in basis if g]
+    work, den = _integral(p)
+    rem, s = _remainder(work, divisors, key)
+    return Poly._raw(p.ring, _rational(rem, _gauss(1, 0, s * den)))
 
 
 def buchberger(gens: Sequence[Poly], order: MonomialOrder = GREVLEX) -> list[Poly]:
@@ -170,21 +83,18 @@ def buchberger(gens: Sequence[Poly], order: MonomialOrder = GREVLEX) -> list[Pol
     the kept elements only, and the kept elements are returned, monic.
 
     The run is fraction-free, over Z[i] (ibid., Sec. 5.5; von zur Gathen
-    and Gerhard, Modern Computer Algebra, Ch. 6): inputs are cleared of
-    denominators, S-polynomials and reduction steps cross-multiply by
-    leading coefficients, and every new element is multiplied by the
-    conjugate of its leading coefficient and divided by its integer
-    content.  Every element so has a positive integer leading
-    coefficient, so each reduction step multiplies by an integer, and
-    integer content is all that can build up; with Gaussian leading
-    coefficients, Gaussian factors that no integer content removes build
-    up instead, and the coefficients blow up.  Each element is a nonzero
-    scalar multiple of the one the same run over QQ(i) would keep, and
-    pairs are chosen from leading monomials only, so the pairs, the
-    kept elements and the monic output are those of the run over QQ(i).
+    and Gerhard, Modern Computer Algebra, Ch. 6): S-polynomials and the
+    reduction steps of `poly._remainder` cross-multiply by leading
+    coefficients, and `poly._element` gives every new element a positive
+    integer leading coefficient, so integer content is all that can build
+    up; with Gaussian leading coefficients, Gaussian factors that no
+    integer content removes build up instead, and the coefficients blow
+    up.  Each element is a nonzero scalar multiple of the one the same run
+    over QQ(i) would keep, and pairs are chosen from leading monomials
+    only, so the pairs, the kept elements and the monic output are those
+    of the run over QQ(i).
     """
-    keys = _Keys(order)
-    key = keys.__getitem__
+    key = _Keys(order).__getitem__
     polys: list[_Element] = []  # every element ever added; pairs index into it
     lms: list[Expvec] = []
     kept: list[int] = []
@@ -193,10 +103,8 @@ def buchberger(gens: Sequence[Poly], order: MonomialOrder = GREVLEX) -> list[Pol
     heap: list[tuple[tuple, tuple[int, int]]] = []
 
     def update(terms: _ZiTerms, lh: Expvec) -> None:
-        terms = _normalize(terms, lh)
         k = len(polys)
-        tail = [(e, x, y) for e, (x, y) in terms.items() if e != lh]
-        polys.append((lh, terms[lh][0], tail, terms))
+        polys.append(_element(terms, lh))
         lms.append(lh)
         new = [(t, mono_lcm(lh, lms[t])) for t in kept]
         chosen: list[tuple[int, Expvec]] = []
@@ -221,7 +129,7 @@ def buchberger(gens: Sequence[Poly], order: MonomialOrder = GREVLEX) -> list[Pol
     for g in filter(None, gens):
         if g.is_constant():
             return [Poly.one(g.ring)]
-        update(_integral(g), g.leading_monomial(order))
+        update(_integral(g)[0], g.leading_monomial(order))
     while heap:
         _, (i, j) = heappop(heap)
         l = pending.pop((i, j), None)
@@ -232,16 +140,13 @@ def buchberger(gens: Sequence[Poly], order: MonomialOrder = GREVLEX) -> list[Pol
         s: _ZiTerms = {}  # (aj/g)*x^(l - li)*fi - (ai/g)*x^(l - lj)*fj; the leading terms cancel
         _sub_scaled(s, -(aj // g), 0, mono_div(l, li), ti)
         _sub_scaled(s, ai // g, 0, mono_div(l, lj), tj)
-        r = _remainder(s, reducers, key)
+        r, _ = _remainder(s, reducers, key)
         if r:
             lr = next(iter(r))
             if not any(lr):  # a nonzero constant: the unit ideal
                 return [Poly.one(gens[0].ring)]
             update(r, lr)
-    return [
-        Poly._raw(gens[0].ring, {e: _gauss(x, y, a) for e, (x, y) in terms.items()})
-        for _, a, _, terms in reducers
-    ]
+    return [Poly._raw(gens[0].ring, _rational(t, _gauss(1, 0, a))) for _, a, _, t in reducers]
 
 
 def fglm(basis: Sequence[Poly]) -> list[Poly]:
@@ -274,19 +179,18 @@ def fglm(basis: Sequence[Poly]) -> list[Poly]:
         else:
             shifted = {e[:v] + (e[v] + 1,) + e[v + 1 :]: c for e, c in forms[b].terms.items()}
             nf = reduce_full(Poly._raw(ring, shifted), basis)
-        vec, comb = dict(nf.terms), {m: ONE}
+        vec, comb = nf, Poly._raw(ring, {m: ONE})
         for pivot, row, row_comb in rows:  # each row is zero at the earlier rows' pivots
-            c = vec.get(pivot)
+            c = vec.terms.get(pivot)
             if c:
-                _sub_multiple(vec, c, one, row)
-                _sub_multiple(comb, c, one, row_comb)
+                vec, comb = vec - row * c, comb - row_comb * c
         if not vec:
             lms.append(m)
-            found.append(Poly._raw(ring, comb))
+            found.append(comb)
             continue
-        pivot = next(iter(vec))
-        inv = vec[pivot].inverse()
-        rows.append((pivot, Poly._raw(ring, vec) * inv, Poly._raw(ring, comb) * inv))
+        pivot = next(iter(vec.terms))
+        inv = vec.terms[pivot].inverse()
+        rows.append((pivot, vec * inv, comb * inv))
         forms[m] = nf
         for w in range(len(ring)):
             xm = m[:w] + (m[w] + 1,) + m[w + 1 :]

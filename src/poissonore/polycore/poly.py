@@ -4,15 +4,20 @@ A ring is just an ordered tuple of variable names; exponent vectors are
 tuples aligned with it.  Polynomials are immutable once built and keep a
 canonical term map (no zero coefficients), so structural equality is
 mathematical equality.
+
+Division has one loop, `_remainder`, which runs fraction-free over Z[i];
+`exact_divide` and `groebner`'s reductions scale its results back, so
+callers see only Polys over QQ(i).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add, le, neg, sub
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Union
 
-from .scalars import GaussRat, ONE, ZERO, render_coeff
+from .scalars import GaussRat, ONE, ZERO, _reduce as _gauss, render_coeff
 
 Expvec = tuple[int, ...]
 Coeff = Union[GaussRat, int, Fraction]
@@ -432,48 +437,132 @@ _set_ring = Poly.ring.__set__
 _set_terms = Poly.terms.__set__
 
 
-# -- division ----------------------------------------------------------------
+# -- division over Z[i] ---------------------------------------------------------
+
+# The division loop's private form of a polynomial: a term map from
+# exponent vectors to Gaussian integers a + b*i, stored as pairs (a, b).
+_ZiTerms = dict[Expvec, tuple[int, int]]
+# A divisor: its leading monomial, its leading coefficient (a positive
+# integer), its other terms as triples (e, a, b), and its whole term map.
+_Element = tuple[Expvec, int, list[tuple[Expvec, int, int]], _ZiTerms]
 
 
-def _sub_multiple(out: dict[Expvec, GaussRat], c: GaussRat, m: Expvec, g: Poly) -> None:
-    """out -= c * x^m * g, in place."""
-    c = -c
-    for e, k in g.terms.items():
-        _add_term(out, mono_mul(m, e), c * k)
+class _Keys(dict):
+    """order.key of each exponent vector, computed on first use."""
+
+    def __init__(self, order: MonomialOrder):
+        self.order = order
+
+    def __missing__(self, e: Expvec) -> tuple:
+        k = self[e] = self.order.key(e)
+        return k
 
 
-def _divide(p: Poly, divisors: Sequence[Poly], order: MonomialOrder) -> tuple[list, Poly]:
-    """Quotient term maps (one per divisor) and remainder of p.
+def _integral(p: Poly) -> tuple[_ZiTerms, int]:
+    """p times the lcm d of its denominators, as a Z[i] term map, and d."""
+    d = 1
+    for c in p.terms.values():
+        d = lcm(d, c.d)
+    return {e: (c.a * (d // c.d), c.b * (d // c.d)) for e, c in p.terms.items()}, d
+
+
+def _rational(terms: _ZiTerms, k: GaussRat) -> dict[Expvec, GaussRat]:
+    """The Z[i] terms times the scalar k, as a term map over QQ(i)."""
+    a, b, d = k.a, k.b, k.d
+    return {e: _gauss(x * a - y * b, x * b + y * a, d) for e, (x, y) in terms.items()}
+
+
+def _element(terms: _ZiTerms, lm: Expvec) -> _Element:
+    """terms as a divisor: times the conjugate of their leading coefficient, over their content."""
+    a, b = terms[lm]
+    if b:
+        terms = {e: (x * a + y * b, y * a - x * b) for e, (x, y) in terms.items()}
+    elif a < 0:
+        terms = {e: (-x, -y) for e, (x, y) in terms.items()}
+    g = 0
+    for x, y in terms.values():
+        g = gcd(g, x, y)
+        if g == 1:
+            break
+    else:
+        terms = {e: (x // g, y // g) for e, (x, y) in terms.items()}
+    return lm, terms[lm][0], [(e, x, y) for e, (x, y) in terms.items() if e != lm], terms
+
+
+def _sub_scaled(work: _ZiTerms, u: int, v: int, m: Expvec, tail: list) -> None:
+    """work -= (u + v*i) * x^m * tail, in place, dropping the terms that cancel."""
+    for t, x, y in tail:
+        t = tuple(map(add, m, t))
+        p, q = u * x - v * y, u * y + v * x
+        old = work.get(t)
+        if old is None:
+            work[t] = (-p, -q)
+        else:
+            p, q = old[0] - p, old[1] - q
+            if p or q:
+                work[t] = (p, q)
+            else:
+                del work[t]
+
+
+def _remainder(
+    work: _ZiTerms, divisors: list[_Element], key: Callable, quotient: _ZiTerms | None = None
+) -> tuple[_ZiTerms, int]:
+    """The remainder of work by the divisors, times s, and the positive integer s.
 
     The division algorithm (Cox, Little, O'Shea, Ideals, Varieties, and
-    Algorithms, Thm. 2.3.3) on one mutable copy of p's terms: the first
-    divisor whose leading monomial divides the leading term of what is
-    left cancels it, or else that term moves to the remainder.
+    Algorithms, Thm. 2.3.3) without fractions: the first divisor whose
+    leading monomial divides the leading term (u + v*i)*x^e of what is
+    left cancels it, or else that term moves to the remainder.  With the
+    divisor's leading term a*x^lm, everything left and the remainder so
+    far are multiplied by the integer a/g, and (u + v*i)/g * x^(e - lm)
+    times the divisor is subtracted, where g = gcd(a, u, v); s is the
+    product of those factors.  The remainder comes out in descending
+    order, its leading term first.  work is consumed.  With one divisor
+    D, a dict passed as quotient collects the Q with s*work = Q*D + rem.
     """
-    lead = [(i, *g.leading_term(order)) for i, g in enumerate(divisors) if g]
-    quotients: list[dict[Expvec, GaussRat]] = [{} for _ in divisors]
-    remainder = {}
-    work = dict(p.terms)
+    rem: _ZiTerms = {}
+    parts = (work, rem) if quotient is None else (work, rem, quotient)
+    s = 1
     while work:
-        e = max(work, key=order.key)
-        for i, lm, lc in lead:
-            if mono_divides(lm, e):
-                m, t = mono_div(e, lm), work[e] / lc
-                quotients[i][m] = t
-                _sub_multiple(work, t, m, divisors[i])
+        e = max(work, key=key)
+        for lm, a, tail, _ in divisors:
+            if all(map(le, lm, e)):
+                u, v = work.pop(e)
+                g = gcd(a, u, v)
+                if g != a:
+                    f = a // g
+                    s *= f
+                    for part in parts:
+                        for t, (x, y) in part.items():
+                            part[t] = (x * f, y * f)
+                m = tuple(map(sub, e, lm))
+                if quotient is not None:
+                    quotient[m] = (u // g, v // g)
+                _sub_scaled(work, u // g, v // g, m, tail)
                 break
         else:
-            remainder[e] = work.pop(e)
-    return quotients, Poly._raw(p.ring, remainder)
+            rem[e] = work.pop(e)
+    return rem, s
 
 
 def exact_divide(p: Poly, d: Poly) -> Poly | None:
-    """The quotient p/d when d divides p exactly, else None; it is unique."""
+    """The quotient p/d when d divides p exactly, else None; it is unique.
+
+    For the divisor D = (a/lc(d))*d, `_remainder` gives s*den*p = Q*D + R.
+    """
     p._check_ring(d)
     if d.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    (q,), r = _divide(p, [d], GREVLEX)
-    return None if r else Poly._raw(p.ring, q)
+    key = _Keys(GREVLEX).__getitem__
+    divisor = _element(_integral(d)[0], max(d.terms, key=key))
+    work, den = _integral(p)
+    quotient: _ZiTerms = {}
+    rem, s = _remainder(work, [divisor], key, quotient)
+    if rem:
+        return None
+    scale = _gauss(divisor[1], 0, s * den) / d.terms[divisor[0]]
+    return Poly._raw(p.ring, _rational(quotient, scale))
 
 
 # -- canonical rendering ------------------------------------------------------

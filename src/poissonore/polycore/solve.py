@@ -16,12 +16,10 @@ would be dishonest.
 
 from __future__ import annotations
 
-from math import lcm
-
 from .gcd import gcd_poly
 from .groebner import fglm, groebner_basis
 from .padic import scaled_root_candidates, squarefree_at_first_prime
-from .poly import GREVLEX, Poly, exact_divide
+from .poly import GREVLEX, Poly, _integral, exact_divide
 from .scalars import GaussRat, ZERO, gauss_sqrt
 
 Assignment = dict[str, GaussRat]
@@ -76,11 +74,10 @@ def univariate_roots(coeffs: list[GaussRat]) -> list[GaussRat]:
             roots.add((-b + s) / (2 * a))
             roots.add((-b - s) / (2 * a))
     else:
-        ints = _cleared(coeffs)
+        f = Poly._raw(("t",), {(k,): c for k, c in enumerate(coeffs) if c})
+        ints = _dense(f)
         if not squarefree_at_first_prime(ints):
-            f = Poly._raw(("t",), {(k,): c for k, c in enumerate(coeffs) if c})
-            g = exact_divide(f, gcd_poly(f, f.partial("t")))  # same roots, each simple
-            ints = _cleared([g.terms.get((k,), ZERO) for k in range(g.total_degree() + 1)])
+            ints = _dense(exact_divide(f, gcd_poly(f, f.partial("t"))))  # same roots, each simple
         lc = GaussRat(*ints[-1])
         for w in scaled_root_candidates(ints):
             cand = GaussRat(*w) / lc
@@ -92,10 +89,10 @@ def univariate_roots(coeffs: list[GaussRat]) -> list[GaussRat]:
     return sorted(roots, key=GaussRat.sort_key)
 
 
-def _cleared(coeffs: list[GaussRat]) -> list[tuple[int, int]]:
-    """The coefficients times the lcm of their denominators, as Gaussian integers."""
-    den = lcm(*(c.d for c in coeffs))
-    return [(c.a * (den // c.d), c.b * (den // c.d)) for c in coeffs]
+def _dense(f: Poly) -> list[tuple[int, int]]:
+    """The coefficients of f in t, ascending, cleared of denominators (`poly._integral`)."""
+    terms = _integral(f)[0]
+    return [terms.get((k,), (0, 0)) for k in range(f.total_degree() + 1)]
 
 
 # -- system solving -----------------------------------------------------------

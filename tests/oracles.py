@@ -5,9 +5,11 @@ through the bivector formula instead of the z-strata closed form, Ore
 products through the Leibniz expansion of z^i * b instead of one step
 of z at a time, ideal membership goes through bounded linear algebra
 instead of basis reduction, the stable-curve search goes through sympy's
-solver, reduced Groebner bases come from sympy's groebner, S-polynomials
-from Poly arithmetic over QQ(i) instead of Buchberger's fraction-free
-form over Z[i], univariate roots over QQ(i) come from the linear factors
+solver, reduced Groebner bases come from sympy's groebner, remainders of
+the division algorithm from sympy's reduced over QQ(i) instead of the
+package's fraction-free division loop over Z[i], S-polynomials from
+Poly arithmetic over QQ(i) instead of Buchberger's fraction-free form
+over Z[i], univariate roots over QQ(i) come from the linear factors
 of sympy's factorization over QQ(i), gcds come from sympy's gcd over
 QQ(i), irreducible factors from sympy's factor_list over QQ(i), and
 preimages under a derivation from forward elimination on the images of
@@ -153,10 +155,18 @@ def _to_sympy(p: Poly, symbols: dict):
 
 
 def _gauss_from_sympy(val) -> GaussRat | None:
+    """val as a GaussRat, or None when it is not in QQ(i).
+
+    nsimplify only runs on values whose parts are not already rational:
+    on exact rationals it may return radicals (4859/1944 comes back as a
+    product of fractional powers of primes).
+    """
     import sympy
 
-    val = sympy.nsimplify(sympy.expand(val))
+    val = sympy.expand(val)
     re, im = val.as_real_imag()
+    if not (re.is_rational and im.is_rational):
+        re, im = sympy.nsimplify(val).as_real_imag()
     if not (re.is_rational and im.is_rational):
         return None
     return GaussRat(Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q)))
@@ -239,28 +249,32 @@ def roots_by_sympy(coeffs: list[GaussRat]) -> set[GaussRat]:
     return out
 
 
+def _sympy_order(order: MonomialOrder):
+    """sympy's name for grevlex or lex; for a BlockElim, sympy's product
+    of grevlex on the leading block and grevlex on the rest."""
+    from sympy.polys.orderings import ProductOrder, grevlex
+
+    if order.tag.startswith("elim:"):
+        head = order.head
+        return ProductOrder((grevlex, lambda m: m[:head]), (grevlex, lambda m: m[head:]))
+    return order.tag
+
+
 def groebner_by_sympy(gens: list[Poly], order: MonomialOrder) -> list[Poly]:
     """The reduced basis of (gens) from sympy's groebner over QQ(i).
 
-    order must be grevlex, lex or a BlockElim, which is sympy's product
-    of grevlex on the leading block and grevlex on the rest; each element
-    is made monic in the package's order, and the list is sorted by
-    descending leading monomial, the package's presentation.
+    order must be grevlex, lex or a BlockElim; each element is made
+    monic in the package's order, and the list is sorted by descending
+    leading monomial, the package's presentation.
     """
     import sympy
-    from sympy.polys.orderings import ProductOrder, grevlex
 
     ring = gens[0].ring
     symbols = {v: sympy.Symbol(v) for v in ring}
-    if order.tag.startswith("elim:"):
-        head = order.head
-        sympy_order = ProductOrder((grevlex, lambda m: m[:head]), (grevlex, lambda m: m[head:]))
-    else:
-        sympy_order = order.tag
     basis = sympy.groebner(
         [_to_sympy(g, symbols) for g in gens],
         *symbols.values(),
-        order=sympy_order,
+        order=_sympy_order(order),
         domain="QQ_I",
     )
     out = [
@@ -268,6 +282,31 @@ def groebner_by_sympy(gens: list[Poly], order: MonomialOrder) -> list[Poly]:
         for g in basis.polys
     ]
     return sorted(out, key=lambda g: order.key(g.leading_monomial(order)), reverse=True)
+
+
+def reduced_by_sympy(p: Poly, divisors: list[Poly], order: MonomialOrder) -> Poly:
+    """The remainder of p by the divisors from sympy's reduced over QQ(i).
+
+    The divisors need not form a Groebner basis; zeros among them are
+    dropped.  order is as for groebner_by_sympy.
+    """
+    import sympy
+
+    divisors = [g for g in divisors if g]
+    if not divisors:
+        return p
+    symbols = {v: sympy.Symbol(v) for v in p.ring}
+    _, r = sympy.reduced(
+        _to_sympy(p, symbols),
+        [_to_sympy(g, symbols) for g in divisors],
+        *symbols.values(),
+        order=_sympy_order(order),
+        extension=sympy.I,
+    )
+    if r == 0:
+        return Poly.zero(p.ring)
+    terms = sympy.Poly(r, *symbols.values(), extension=sympy.I).terms()
+    return Poly(p.ring, {e: _gauss_from_sympy(c) for e, c in terms})
 
 
 def s_polynomial(f: Poly, g: Poly, order: MonomialOrder) -> Poly:

@@ -6,11 +6,11 @@ import random
 from fractions import Fraction
 
 from conftest import rand_nonzero_poly, rand_poly
-from oracles import groebner_by_sympy, s_polynomial
+from oracles import groebner_by_sympy, reduced_by_sympy, s_polynomial
 from poissonore import GaussRat, IdealPres, Poly, parse_poly, render
 from poissonore.polycore import BlockElim, GREVLEX, LEX, groebner_basis, reduce_full
 from poissonore.polycore.groebner import buchberger
-from poissonore.polycore.poly import _divide, mono_divides
+from poissonore.polycore.poly import mono_divides
 
 RING = ("x", "y")
 X = Poly.var(RING, "x")
@@ -110,23 +110,36 @@ def test_buchberger_closure_random():
 
 
 def test_division_algorithm_random():
-    # divisor lists are arbitrary, not Groebner bases, and may hold zero
+    # divisor lists are arbitrary, not Groebner bases, and may hold zero;
+    # on huge Gaussian coefficients the fraction-free loop must give the
+    # exact remainder over QQ(i), not a multiple of it
     ring = ("x", "y", "z")
     rng = random.Random(404)
+
+    def huge(g):
+        return Poly(ring, {e: c * _big(rng) for e, c in g.terms.items()})
+
+    nonreal = 0
     for order in (GREVLEX, LEX, BlockElim(1)):
-        for _ in range(40):
+        for k in range(46):
             p = rand_poly(rng, ring, 4, terms=6, imag=True)
             divisors = [rand_poly(rng, ring, 2, terms=3) for _ in range(rng.randint(0, 3))]
-            quotients, r = _divide(p, divisors, order)
-            parts = [Poly(ring, q) * g for q, g in zip(quotients, divisors)]
-            assert sum(parts, r) == p
+            if k >= 40:
+                p, divisors = huge(p), [huge(g) for g in divisors]
+                nonreal += sum(1 for g in divisors if g and g.leading_coeff(order).im)
+            r = reduce_full(p, divisors, order)
+            assert r == reduced_by_sympy(p, divisors, order), (order.tag, k)
             lms = [g.leading_monomial(order) for g in divisors if g]
             assert not any(mono_divides(lm, e) for lm in lms for e in r.terms)
-            for part in parts:
-                if part:
-                    lm_part = order.key(part.leading_monomial(order))
-                    assert lm_part <= order.key(p.leading_monomial(order))
-            assert reduce_full(p, divisors, order) == r
+    assert nonreal >= 15, nonreal
+    for _ in range(4):
+        # generators vanish at the origin and p does not, so p is no member
+        gens = [_trim(huge(rand_nonzero_poly(rng, ring, 2, terms=3))) for _ in range(2)]
+        ideal = IdealPres(ring, [g or Poly.var(ring, "x") for g in gens])
+        p, c = huge(rand_nonzero_poly(rng, ring, 4, terms=6, imag=True)) + _big(rng), _big(rng)
+        nf = ideal.normal_form(p)
+        assert nf and nf == reduced_by_sympy(p, ideal.basis(), GREVLEX)
+        assert ideal.normal_form(p * c) == nf * c
 
 
 def _trim(p: Poly, below=None, order=GREVLEX) -> Poly:

@@ -118,6 +118,23 @@ def test_foreign_operands():
     assert z * Fraction(1, 2) == z * half == SkewPoly.from_base(d, Poly.constant(BASE, half)) * z
 
 
+def test_left_multiplication_by_base_elements():
+    # a * u multiplies each coefficient of u by a; z*a differs from a*z
+    d = _gwj()
+    z = SkewPoly.z(d)
+    x = Poly.var(BASE, "x")
+    u = z ** 2 + SkewPoly.from_base(d, x + 1) * z
+    for a in (x, x * x - GaussRat(0, 2), 2, Fraction(-3, 4), GaussRat(Fraction(1, 2), 3)):
+        base = Poly.constant(BASE, a) if not isinstance(a, Poly) else a
+        expected = SkewPoly(d, [base * c for c in u.coeffs])
+        assert a * u == SkewPoly.from_base(d, base) * u == expected
+    assert x * z == SkewPoly(d, [Poly.zero(BASE), x]) != z * x
+    assert 2 * z == z * 2
+    for other in (1.5, "x", None):
+        with pytest.raises(TypeError):
+            other * z
+
+
 def test_twist_ring_with_z_is_refused():
     ring = ("x", "z")
     d = derivation(ring, x=Poly.one(ring), z=Poly.zero(ring))

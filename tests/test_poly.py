@@ -177,8 +177,11 @@ def test_mixed_operands_defer_to_the_other_operand_or_raise_type_error():
     skew = SkewPoly.z(derivation(RING, x=Y, y=X))
     for bad in (1.5, "a", skew):
         for op in (operator.add, operator.sub, operator.mul):
+            if bad is skew and op is operator.mul:
+                continue  # the skew product, by SkewPoly.__rmul__
             with pytest.raises(TypeError):
                 op(p, bad)
+    assert p * skew == SkewPoly.from_base(skew.twist, p) * skew
     for bad in (1.5, "a", None):
         for op in (operator.add, operator.sub, operator.mul, operator.truediv):
             with pytest.raises(TypeError):
@@ -233,6 +236,29 @@ def test_exact_divide():
         r = rand_poly(rng, ring3, d.total_degree() - 1, terms=2, imag=True)
         if r:
             assert exact_divide(p * d + r, d) is None
+    # the quotient comes back from Z[i] rescaled to QQ(i): Gaussian
+    # constant divisors, and divisors with non-real leading coefficients
+    # and 9-digit numerators and denominators
+    assert exact_divide(X, Poly.constant(RING, 2 * I)) == X * GaussRat(0, Fraction(-1, 2))
+    q = (X * Y - I) * GaussRat(Fraction(3, 25), Fraction(4, 25))
+    assert exact_divide(X * Y - I, Poly.constant(RING, GaussRat(3, -4))) == q
+    rng = random.Random(206)
+
+    def big():
+        re, im, d = rng.randint(-(10**9), 10**9), rng.randint(10**8, 10**9), rng.randint(10**8, 10**9)
+        return GaussRat(Fraction(re, d), Fraction(im, d + 1))
+
+    nonreal = 0
+    for _ in range(30):
+        p, d = (rand_nonzero_poly(rng, ring3, deg, terms=4, imag=True) for deg in (3, 2))
+        p, d = (Poly(ring3, {e: c * big() for e, c in f.terms.items()}) for f in (p, d))
+        nonreal += bool(d.leading_coeff().im)
+        assert exact_divide(p * d, d) == p
+        c = big()
+        assert exact_divide(p * d, Poly.constant(ring3, c)) == p * d * c.inverse()
+        if d.total_degree() > 0:
+            assert exact_divide(p * d + 1, d) is None
+    assert nonreal >= 25, nonreal
 
 
 def test_render_frozen():
