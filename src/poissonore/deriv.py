@@ -122,6 +122,8 @@ def exact_derivation(a: Poly) -> Derivation:
     The first two ring variables play x and y; a itself is a constant
     of the result.
     """
+    if len(a.ring) < 2:
+        raise DerivationError(f"an exact bracket needs two variables, got ring {a.ring}")
     x, y = a.ring[0], a.ring[1]
     return Derivation(a.ring, {x: a.partial(y), y: -a.partial(x)})
 

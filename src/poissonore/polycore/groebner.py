@@ -1,4 +1,4 @@
-"""Buchberger's algorithm, FGLM, normal forms, and ideal presentations.
+"""Buchberger's algorithm, normal forms, minimal polynomials, and ideal presentations.
 
 Reduced Groebner bases are the workhorse for every ideal question in
 this package: membership, equality, containment, elimination.  Every
@@ -21,10 +21,11 @@ other kept elements with smaller leading monomials, the only ones that
 can divide its terms.  Reduction leaves every leading monomial in place,
 so this is the reduced basis, which is unique (Cox, Little, O'Shea,
 Prop. 2.7.6); it is returned sorted by descending leading monomial, so
-identical ideals give identical bases on every run.  `fglm` converts
-the grevlex basis of a zero-dimensional ideal to the reduced lex basis
-by linear algebra on normal forms over QQ(i), which is how the solver
-gets its lex basis.
+identical ideals give identical bases on every run.
+`minimal_polynomial` finds the first linear relation among the grevlex
+normal forms of the powers of an element modulo a zero-dimensional
+ideal, with `linsolve.rref`; for the last variable, that is how the
+solver gets its univariate polynomial.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from typing import Iterable, Sequence
 
 from .poly import (
     GREVLEX,
-    LEX,
     Expvec,
     MonomialOrder,
     Poly,
@@ -54,7 +54,8 @@ from .poly import (
     mono_mul,
     render,
 )
-from .scalars import ONE, _reduce as _gauss
+from .linsolve import rref
+from .scalars import ONE, ZERO, GaussRat, _reduce as _gauss
 
 
 def reduce_full(p: Poly, basis: Sequence[Poly], order: MonomialOrder = GREVLEX) -> Poly:
@@ -149,53 +150,30 @@ def buchberger(gens: Sequence[Poly], order: MonomialOrder = GREVLEX) -> list[Pol
     return [Poly._raw(gens[0].ring, _rational(t, _gauss(1, 0, a))) for _, a, _, t in reducers]
 
 
-def fglm(basis: Sequence[Poly]) -> list[Poly]:
-    """The reduced lex basis of a zero-dimensional ideal, from a grevlex basis of it.
+def minimal_polynomial(basis: Sequence[Poly], u: Poly) -> list[GaussRat]:
+    """The monic minimal polynomial of u modulo a zero-dimensional ideal, ascending.
 
-    FGLM (Faugere, Gianni, Lazard, Mora, J. Symb. Comp. 1993): walk the
-    monomials in ascending lex order, starting at 1 and going up through
-    the multiples x*b of the standard monomials b found so far, skipping
-    multiples of the leading monomials found so far.  The grevlex normal
-    form of each monomial is either a linear combination of the normal
-    forms of the standard monomials below it, which gives the basis
-    element m - sum c_b*b, or independent of them, which makes m
-    standard.  The walk is finite because the quotient is; the caller
-    checks zero-dimensionality first, since on a larger ideal the walk
-    never ends.
+    basis is a grevlex Groebner basis of the ideal.  The normal forms of
+    1, u, u^2, ... are taken as NF(u*NF(u^(k-1))) until there are more
+    of them than distinct monomials in them, so they are linearly
+    dependent; the caller checks zero-dimensionality first, since on a
+    larger ideal that need never happen.  The first column k of their
+    coefficient matrix that is not a pivot of its reduced row echelon
+    form holds the relation u^k = sum c_j*u^j over j < k, and the pivot
+    columns before it admit no shorter one (Cox, Little, O'Shea, Using
+    Algebraic Geometry, Ch. 2).  For u the last variable this is the
+    monic generator of the ideal's intersection with QQ(i)[u], the last
+    element of its reduced lex basis.  The unit ideal, where 1 reduces
+    to zero, gives [1].
     """
-    ring = basis[0].ring
-    one = (0,) * len(ring)
-    forms: dict[Expvec, Poly] = {}  # grevlex normal form of each standard monomial
-    rows: list[tuple[Expvec, Poly, Poly]] = []  # pivot, normal-form vector, its monomial combination
-    lms: list[Expvec] = []
-    found: list[Poly] = []
-    todo = [(LEX.key(one), one, -1, one)]  # (key, monomial, v, b) with monomial = x_v * b
-    while todo:
-        _, m, v, b = heappop(todo)
-        if m in forms or any(mono_divides(lm, m) for lm in lms):
-            continue
-        if v < 0:
-            nf = reduce_full(Poly.one(ring), basis)
-        else:
-            shifted = {e[:v] + (e[v] + 1,) + e[v + 1 :]: c for e, c in forms[b].terms.items()}
-            nf = reduce_full(Poly._raw(ring, shifted), basis)
-        vec, comb = nf, Poly._raw(ring, {m: ONE})
-        for pivot, row, row_comb in rows:  # each row is zero at the earlier rows' pivots
-            c = vec.terms.get(pivot)
-            if c:
-                vec, comb = vec - row * c, comb - row_comb * c
-        if not vec:
-            lms.append(m)
-            found.append(comb)
-            continue
-        pivot = next(iter(vec.terms))
-        inv = vec.terms[pivot].inverse()
-        rows.append((pivot, vec * inv, comb * inv))
-        forms[m] = nf
-        for w in range(len(ring)):
-            xm = m[:w] + (m[w] + 1,) + m[w + 1 :]
-            heappush(todo, (LEX.key(xm), xm, w, m))
-    return found[::-1]
+    forms = [reduce_full(Poly.one(u.ring), basis)]
+    monos = set(forms[0].terms)
+    while len(forms) <= len(monos):
+        forms.append(reduce_full(u * forms[-1], basis))
+        monos.update(forms[-1].terms)
+    red, pivots = rref([[f.terms.get(e, ZERO) for f in forms] for e in sorted(monos)])
+    k = next(j for j, c in enumerate(pivots + [len(forms)]) if j != c)
+    return [-red[j][k] for j in range(k)] + [ONE]
 
 
 def groebner_basis(gens: Sequence[Poly], order: MonomialOrder = GREVLEX) -> list[Poly]:

@@ -5,8 +5,9 @@ linear: eliminate variables that occur linearly with constant
 coefficient, and branch on the QQ(i) roots of univariate constraints.
 When neither applies, compute the grevlex basis, which stops at the unit
 ideal (no solution); test zero-dimensionality on its leading monomials;
-and convert it by FGLM to the reduced lex basis, whose last element is
-univariate in the last variable.  Univariate roots come in closed form
+and branch on the roots of the minimal polynomial of the last variable
+modulo the ideal, the generator of its univariate part, substituting
+each into the grevlex basis.  Univariate roots come in closed form
 up to degree two and from a certified p-adic root finder beyond (see
 univariate_roots and padic.py); the method is complete, so no input is
 too large to answer.  Systems whose solution set has positive dimension
@@ -17,7 +18,7 @@ would be dishonest.
 from __future__ import annotations
 
 from .gcd import gcd_poly
-from .groebner import fglm, groebner_basis
+from .groebner import groebner_basis, minimal_polynomial
 from .padic import scaled_root_candidates, squarefree_at_first_prime
 from .poly import GREVLEX, Poly, _integral, exact_divide
 from .scalars import GaussRat, ZERO, gauss_sqrt
@@ -167,11 +168,8 @@ def _solve(eqs: list[Poly], ring: tuple[str, ...]) -> list[Assignment]:
     free = _unbounded_variable(gb)
     if free is not None:
         raise SolutionFamily(f"no univariate constraint isolates {free!r}")
-    gb = fglm(gb)
-    # every variable has a pure power, so the smallest leading monomial is
-    # one of the last variable and its element is univariate in it
-    last, coeffs = _as_univariate(gb[-1])
-    return _eliminate(gb, ring, last, univariate_roots(coeffs))
+    roots = univariate_roots(minimal_polynomial(gb, Poly.var(ring, ring[-1])))
+    return _eliminate(gb, ring, ring[-1], roots)
 
 
 def _unbounded_variable(basis: list[Poly]) -> str | None:

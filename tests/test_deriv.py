@@ -7,7 +7,16 @@ import random
 import pytest
 
 from conftest import rand_derivation, rand_poly
-from poissonore import Derivation, DerivationError, IdealPres, Poly, derivation, parse_poly
+from poissonore import (
+    Derivation,
+    DerivationError,
+    IdealPres,
+    Poly,
+    classify_exact_spectrum,
+    derivation,
+    exact_derivation,
+    parse_poly,
+)
 from poissonore.deriv import QuotientDerivation
 
 RING = ("x", "y")
@@ -96,3 +105,12 @@ def test_quotient_derivation():
     unstable = IdealPres(RING, [X])
     with pytest.raises(DerivationError):
         d.induced_on_quotient(unstable)
+
+
+def test_exact_bracket_needs_two_variables():
+    x = Poly.var(("x",), "x")
+    for call in (exact_derivation, classify_exact_spectrum):
+        with pytest.raises(DerivationError, match="exact bracket needs two variables"):
+            call(x ** 2)
+    with pytest.raises(DerivationError, match="exact bracket needs two variables"):
+        exact_derivation(Poly.one(()))

@@ -19,7 +19,7 @@ from poissonore.polycore import (
     univariate_roots,
 )
 from poissonore.polycore import solve as solve_module
-from poissonore.polycore.groebner import fglm
+from poissonore.polycore.groebner import minimal_polynomial
 
 RING = ("x", "y")
 X = Poly.var(RING, "x")
@@ -167,24 +167,55 @@ def _planted_component(rng: random.Random, ring: tuple[str, ...]) -> tuple[list[
     return [xs[0] ** 2 - c] + rest, points
 
 
-def test_fglm_matches_lex_basis_on_planted_points():
+def _planted_ideal(rng: random.Random, ring: tuple[str, ...]) -> tuple[list[Poly], set]:
+    """Scrambled generators of a product of planted components, and its QQ(i)-rational points."""
+    gens, planted = [Poly.one(ring)], set()
+    for _ in range(rng.randint(1, 2 if len(ring) == 3 else 3)):
+        comp, points = _planted_component(rng, ring)
+        gens = [f * g for f in gens for g in comp]  # the product ideal: the union of the zeros
+        planted |= points
+    for _ in range(3 if len(gens) > 1 else 0):  # elementary operations keep the ideal
+        i, j = rng.sample(range(len(gens)), 2)
+        gens[i] = gens[i] + rand_poly(rng, ring, 1, terms=2) * gens[j]
+    return gens, planted
+
+
+def _in_var(coeffs: list[GaussRat], ring: tuple[str, ...], v: str) -> Poly:
+    """sum(coeffs[k] * v**k) as a polynomial over ring."""
+    return sum((Poly.var(ring, v) ** k * c for k, c in enumerate(coeffs)), Poly.zero(ring))
+
+
+def test_minimal_polynomial_of_the_last_variable_is_the_last_lex_element():
     rng = random.Random(502)
     for k in range(12):
         ring = ("x", "y", "z") if k % 4 == 3 else RING
-        gens, planted = [Poly.one(ring)], set()
-        for _ in range(rng.randint(1, 2 if len(ring) == 3 else 3)):
-            comp, points = _planted_component(rng, ring)
-            gens = [f * g for f in gens for g in comp]  # the product ideal: the union of the zeros
-            planted |= points
-        for _ in range(3 if len(gens) > 1 else 0):  # elementary operations keep the ideal
-            i, j = rng.sample(range(len(gens)), 2)
-            gens[i] = gens[i] + rand_poly(rng, ring, 1, terms=2) * gens[j]
+        gens, planted = _planted_ideal(rng, ring)
         grevlex = groebner_basis(gens, GREVLEX)
         lex = groebner_basis(gens, LEX)
-        assert fglm(grevlex) == lex == groebner_by_sympy(gens, LEX), k
+        assert lex == groebner_by_sympy(gens, LEX), k
+        last = Poly.var(ring, ring[-1])
+        assert _in_var(minimal_polynomial(grevlex, last), ring, ring[-1]) == lex[-1], k
         sols = solve_system(gens, ring)
         found = [tuple(s[v] for v in ring) for s in sols]
         assert len(found) == len(set(found)) and set(found) == planted, k
+
+
+def test_minimal_polynomial_matches_sympy():
+    # the oracle eliminates everything but a new last variable t from
+    # (gens, t - u): the last element of that lex basis generates the
+    # polynomials in u that vanish modulo (gens)
+    rng = random.Random(503)
+    for k in range(12):
+        ring = ("x", "y", "z") if k % 4 == 3 else RING
+        gens, _ = _planted_ideal(rng, ring)
+        grevlex = groebner_basis(gens, GREVLEX)
+        xs = [Poly.var(ring, v) for v in ring]
+        c = GaussRat(rng.randint(-2, 2), rng.randint(-1, 1))
+        for u in (xs[-1], xs[0] + xs[1] * c, Poly.constant(ring, c)):
+            ext = ring + ("t",)
+            graph = [g.embed(ext) for g in gens] + [Poly.var(ext, "t") - u.embed(ext)]
+            lex = groebner_by_sympy(graph, LEX)
+            assert _in_var(minimal_polynomial(grevlex, u), ext, "t") == lex[-1], (k, u)
 
 
 def test_solve_system_on_a_product_ideal_with_fractional_points():
@@ -210,8 +241,8 @@ def test_solve_system_on_a_product_ideal_with_fractional_points():
     ]
 
 
-def test_fglm_of_the_unit_ideal():
-    assert fglm([Poly.one(RING)]) == [Poly.one(RING)]
+def test_minimal_polynomial_of_the_unit_ideal():
+    assert minimal_polynomial([Poly.one(RING)], X) == [ONE]
 
 
 def test_solution_family_names_a_variable_without_a_grevlex_pure_power():
