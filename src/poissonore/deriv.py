@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Mapping
 
 from .polycore import Check, GaussRat, IdealPres, Poly
@@ -16,15 +17,22 @@ class Derivation:
 
     Images may cover only part of the ring; applying to a polynomial
     that uses an unimaged variable is an error rather than a guess.
+    A scalar image (int, Fraction, GaussRat) is the constant polynomial.
     """
 
     __slots__ = ("ring", "images")
 
-    def __init__(self, ring: tuple[str, ...], images: Mapping[str, Poly]):
+    def __init__(
+        self, ring: tuple[str, ...], images: Mapping[str, Poly | GaussRat | int | Fraction]
+    ):
         imgs = {}
         for v, p in images.items():
             if v not in ring:
                 raise DerivationError(f"image given for {v!r}, not a ring variable")
+            if isinstance(p, (int, Fraction, GaussRat)):
+                p = Poly.constant(ring, p)
+            elif not isinstance(p, Poly):
+                raise DerivationError(f"image of {v!r} is a {type(p).__name__}, not a polynomial")
             imgs[v] = p.embed(ring)
         object.__setattr__(self, "ring", tuple(ring))
         object.__setattr__(self, "images", imgs)
@@ -112,7 +120,7 @@ class QuotientDerivation:
         return self.ideal.normal_form(self.derivation.apply(p))
 
 
-def derivation(ring: tuple[str, ...], **images: Poly) -> Derivation:
+def derivation(ring: tuple[str, ...], **images: Poly | GaussRat | int | Fraction) -> Derivation:
     return Derivation(ring, images)
 
 

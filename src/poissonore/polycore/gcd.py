@@ -27,8 +27,8 @@ def gcd_poly(p: Poly, q: Poly) -> Poly:
     ring = (t,) + p.ring
     tv = Poly.var(ring, t)
     basis = buchberger([tv * p.embed(ring), (1 - tv) * q.embed(ring)], BlockElim(1))
-    # every t-free element is a multiple of the lcm, and one of them is a scalar multiple
-    lcm = min((g for g in basis if not g.uses(t)), key=Poly.total_degree).embed(p.ring)
+    # the t-free elements are the reduced basis of the principal ideal (lcm), so just the monic lcm
+    (lcm,) = (g.embed(p.ring) for g in basis if not g.uses(t))
     cofactor = exact_divide(lcm, q)  # p/gcd up to a scalar
     g = None if cofactor is None else exact_divide(p, cofactor)
     if g is None:

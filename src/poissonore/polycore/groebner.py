@@ -12,16 +12,12 @@ selection strategy, drops the pairs that the Gebauer-Moller criteria
 and the coprimality criterion prove redundant, and stops with [1] at the
 first nonzero constant remainder.  Its elements are divisors of
 `poly._remainder`, with positive integer leading coefficients (the
-docstring of `buchberger` says why), and it returns them made monic,
-over QQ(i).
+docstring of `buchberger` says why).  It interreduces them, still over
+Z[i], and returns the reduced basis, monic over QQ(i), which is unique
+(Cox, Little, O'Shea, Prop. 2.7.6), sorted by descending leading
+monomial, so identical ideals give identical bases on every run.
+`groebner_basis` returns it unchanged.
 
-`groebner_basis` cuts that monic output to a minimal basis, one element
-per minimal leading monomial, and reduces each kept element once by the
-other kept elements with smaller leading monomials, the only ones that
-can divide its terms.  Reduction leaves every leading monomial in place,
-so this is the reduced basis, which is unique (Cox, Little, O'Shea,
-Prop. 2.7.6); it is returned sorted by descending leading monomial, so
-identical ideals give identical bases on every run.
 `minimal_polynomial` finds the first linear relation among the grevlex
 normal forms of the powers of an element modulo a zero-dimensional
 ideal, with `linsolve.rref`; for the last variable, that is how the
@@ -72,7 +68,7 @@ def reduce_full(p: Poly, basis: Sequence[Poly], order: MonomialOrder = GREVLEX) 
 
 
 def buchberger(gens: Sequence[Poly], order: MonomialOrder = GREVLEX) -> list[Poly]:
-    """A Groebner basis of (gens), or [1] as soon as the ideal is seen to be the unit ideal.
+    """The reduced Groebner basis of (gens); [1] as soon as the ideal is seen to be the unit ideal.
 
     Becker and Weispfenning's GROEBNERNEW2 (Groebner Bases, Sec. 5.5):
     each new element goes through the Gebauer-Moller UPDATE, which drops
@@ -81,7 +77,12 @@ def buchberger(gens: Sequence[Poly], order: MonomialOrder = GREVLEX) -> list[Pol
     in a heap keyed once, at creation, by (lcm key, indices): the normal
     selection strategy.  A pair that a later UPDATE kills stays in the
     heap and is skipped when it comes up.  S-polynomials are reduced by
-    the kept elements only, and the kept elements are returned, monic.
+    the kept elements only.  At the end the kept elements are taken by
+    ascending leading monomial: one whose leading monomial an earlier
+    one divides is dropped, and the others are reduced by the earlier
+    ones, the only ones whose leading monomials can divide their terms.
+    Reduction leaves every leading monomial in place, so made monic this
+    is the reduced basis.
 
     The run is fraction-free, over Z[i] (ibid., Sec. 5.5; von zur Gathen
     and Gerhard, Modern Computer Algebra, Ch. 6): S-polynomials and the
@@ -147,7 +148,11 @@ def buchberger(gens: Sequence[Poly], order: MonomialOrder = GREVLEX) -> list[Pol
             if not any(lr):  # a nonzero constant: the unit ideal
                 return [Poly.one(gens[0].ring)]
             update(r, lr)
-    return [Poly._raw(gens[0].ring, _rational(t, _gauss(1, 0, a))) for _, a, _, t in reducers]
+    basis: list[_Element] = []  # ascending, so only earlier elements can divide a term
+    for lm, _, _, terms in sorted(reducers, key=lambda el: key(el[0])):
+        if not any(mono_divides(b[0], lm) for b in basis):
+            basis.append(_element(_remainder(dict(terms), basis, key)[0], lm))
+    return [Poly._raw(gens[0].ring, _rational(t, _gauss(1, 0, a))) for _, a, _, t in basis[::-1]]
 
 
 def minimal_polynomial(basis: Sequence[Poly], u: Poly) -> list[GaussRat]:
@@ -177,20 +182,8 @@ def minimal_polynomial(basis: Sequence[Poly], u: Poly) -> list[GaussRat]:
 
 
 def groebner_basis(gens: Sequence[Poly], order: MonomialOrder = GREVLEX) -> list[Poly]:
-    """The reduced Groebner basis of the ideal generated by gens.
-
-    The scan runs by ascending leading monomial, so a divisor of a
-    leading monomial is kept before it is met, and only the elements
-    kept before g, already reduced, have leading monomials that can
-    divide a term of g.
-    """
-    by_lm = sorted(buchberger(gens, order), key=lambda g: order.key(g.leading_monomial(order)))
-    reduced: list[Poly] = []
-    for g in by_lm:
-        lm = g.leading_monomial(order)
-        if not any(mono_divides(h.leading_monomial(order), lm) for h in reduced):
-            reduced.append(reduce_full(g, reduced, order))
-    return reduced[::-1]
+    """The reduced Groebner basis of (gens), by descending leading monomial; see `buchberger`."""
+    return buchberger(gens, order)
 
 
 @dataclass(frozen=True)

@@ -212,8 +212,9 @@ def darboux_search(delta: Derivation, dmax: int) -> list[DarbouxCertificate]:
     Every candidate is normalized monic at its leading monomial, so each
     stratum (degree, leading monomial) is searched once; the cofactor
     degree is capped by max image degree - 1, which is forced by degree
-    count.  Raises SolutionFamily when a stratum carries infinitely many
-    solutions.
+    count.  Every solution (q, w) is checked by the product identity
+    delta(q) = w*q, with no division.  Raises SolutionFamily when a
+    stratum carries infinitely many solutions.
     """
     if dmax < 0:
         raise ValueError(f"negative degree bound {dmax}")
@@ -239,8 +240,7 @@ def darboux_search(delta: Derivation, dmax: int) -> list[DarbouxCertificate]:
                 ) from fam
             for sol in solutions:
                 q, w = system.instantiate(sol)
-                check = verify_cofactor(delta, q)
-                if check != w:
+                if delta.apply(q) != w * q:
                     raise ArithmeticError(f"cofactor mismatch for {render(q)}")
                 found.append(DarbouxCertificate(q, w))
     return found
@@ -591,11 +591,17 @@ def classify_delta_spectrum(delta: Derivation, dmax: int) -> SpectrumDescription
     Height-one entries come from monic irreducible Darboux polynomials
     of degree <= dmax; the rest come from the singular locus.  The zero
     derivation is refused: its stable ideals are all ideals and a
-    degree-bounded list would be meaningless.
+    degree-bounded list would be meaningless.  So is a base ring of three
+    or more variables, whose stable primes of height two are neither
+    principal nor maximal.
     """
     if delta.is_zero():
         raise ValueError("zero derivation has no bounded classification")
     ring = delta.ring
+    if len(ring) > 2:
+        raise ValueError(
+            f"classification covers one or two base variables, not ({', '.join(ring)})"
+        )
     _refuse_clashes(ring, ("z", "alpha"))
     entries = [SpectrumEntry("zero", ring, ())]
     notes: list[str] = []

@@ -242,6 +242,16 @@ def test_spectrum_names_are_reserved(capsys):
     assert err.startswith("error: ") and "alpha" in err
 
 
+@pytest.mark.parametrize("command", ["classify", "gamma"])
+def test_three_base_variables_are_a_usage_error(capsys, command):
+    # the stable prime (x, y) has height two: neither principal nor maximal
+    code, out, err = run(capsys, command, "--delta", "x=x,y=2*y,w=1", "--dmax", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "(x, y, w)" in err
+    # one base variable still classifies
+    assert run(capsys, command, "--delta", "x=x^2+1", "--dmax", "1")[0] == 0
+
+
 def usage_error(capsys, *argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))

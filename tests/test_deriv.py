@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +11,7 @@ from conftest import rand_derivation, rand_poly
 from poissonore import (
     Derivation,
     DerivationError,
+    GaussRat,
     IdealPres,
     Poly,
     classify_exact_spectrum,
@@ -105,6 +107,17 @@ def test_quotient_derivation():
     unstable = IdealPres(RING, [X])
     with pytest.raises(DerivationError):
         d.induced_on_quotient(unstable)
+
+
+def test_scalar_images_are_constants():
+    ring = ("x",)
+    one = Poly.one(ring)
+    for c in (1, Fraction(1), GaussRat(1)):
+        assert derivation(ring, x=c) == Derivation(ring, {"x": c}) == derivation(ring, x=one)
+    two_i = GaussRat(0, 2)
+    assert derivation(RING, x=0, y=two_i).image("y") == Poly.constant(RING, two_i)
+    with pytest.raises(DerivationError, match="'y'"):
+        derivation(RING, x=X, y="x")
 
 
 def test_exact_bracket_needs_two_variables():

@@ -7,6 +7,8 @@ import random
 from conftest import rand_gauss, rand_nonzero_poly, rand_poly
 from oracles import gcd_by_sympy
 from poissonore import Poly, exact_divide, gcd_poly
+from poissonore.polycore import BlockElim
+from poissonore.polycore.groebner import buchberger
 
 RING = ("x", "y")
 X = Poly.var(RING, "x")
@@ -88,6 +90,12 @@ def test_gcd_matches_sympy_random():
         d = gcd_poly(p, q)
         assert d == gcd_by_sympy(p, q), (p, q)
         assert exact_divide(d, g.monic()) is not None
+        # the eliminated basis holds the lcm as its one t-free element, monic
+        ext = ("t",) + ring
+        t = Poly.var(ext, "t")
+        basis = buchberger([t * p.embed(ext), (1 - t) * q.embed(ext)], BlockElim(1))
+        t_free = [h.embed(ring) for h in basis if not h.uses("t")]
+        assert t_free == [exact_divide(p * q, d).monic()]
         nontrivial += d.total_degree() > 0
     assert nontrivial >= 20
 

@@ -172,6 +172,7 @@ def test_reduced_basis_matches_sympy():
                 lm = (lift * gens[0]).leading_monomial(order)
                 ideal.append(lift * gens[0] + _trim(tail, lm, order))
             assert groebner_basis(ideal, order) == groebner_by_sympy(ideal, order)
+            assert buchberger(ideal, order) == groebner_by_sympy(ideal, order)
 
 
 def _big(rng: random.Random) -> GaussRat:

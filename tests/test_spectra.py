@@ -34,6 +34,7 @@ from poissonore import (
     spectrum_inclusions,
     verify_cofactor,
 )
+from poissonore import spectra
 from poissonore.polycore import GREVLEX
 from poissonore.spectra import monomials_of_degree, monomials_upto
 
@@ -108,6 +109,16 @@ def test_darboux_search_frozen_values():
     assert sorted(render(c.q) for c in found) == ["x", "x^2"]
     assert darboux_search(_delta(x="y", y="x + x^2*y"), 3) == []
     assert darboux_search(derivation(("x",), x=Poly.one(("x",))), 4) == []
+
+
+def test_darboux_search_checks_without_division(monkeypatch):
+    expected = darboux_search(_gwj(), 2)
+
+    def refuse(p, d):
+        raise AssertionError("darboux_search divided")
+
+    monkeypatch.setattr(spectra, "exact_divide", refuse)
+    assert darboux_search(_gwj(), 2) == expected
 
 
 def test_darboux_search_matches_sympy_oracle():
