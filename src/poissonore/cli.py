@@ -1,7 +1,8 @@
 """Command-line frontend.
 
 Exit codes: 0 success, 1 mathematical negative (failed check, empty
-solve, unresolved locus), 2 usage, parse or input-file errors.  All
+solve, unresolved locus), 2 usage, parse or input-file errors, 141 a
+closed stdout (the status of a process ended by SIGPIPE).  All
 diagnostics go to stderr; --json output is deterministic for
 golden-file comparison.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .deriv import Derivation, DerivationError, exact_derivation
@@ -434,7 +436,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed stdout fails here, not in the exit flush
+        return code
+    except BrokenPipeError:
+        # nobody reads the output: end quietly, and point stdout at the
+        # null device so that the interpreter's exit flush cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -13,6 +13,11 @@ univariate_roots and padic.py); the method is complete, so no input is
 too large to answer.  Systems whose solution set has positive dimension
 over the given unknowns raise SolutionFamily; enumerating them as a list
 would be dishonest.
+
+Elimination stays in the ring that solve_system receives: a pivot value
+or a root goes only into the equations that use its variable, and the
+others pass through untouched.  Only the Groebner step moves the
+equations into the ring of the variables still unknown.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 from .gcd import gcd_poly
 from .groebner import groebner_basis, minimal_polynomial
 from .padic import scaled_root_candidates, squarefree_at_first_prime
-from .poly import GREVLEX, Poly, _integral, exact_divide
+from .poly import GREVLEX, Expvec, Poly, _add_term, _integral, exact_divide, mono_mul
 from .scalars import GaussRat, ZERO, gauss_sqrt
 
 Assignment = dict[str, GaussRat]
@@ -111,17 +116,25 @@ def _as_univariate(p: Poly) -> tuple[str, list[GaussRat]] | None:
     return v, coeffs
 
 
-def _linear_pivot(p: Poly) -> tuple[str, GaussRat, Poly] | None:
-    """If p == a*v + rest with constant a != 0 and rest free of v, return them."""
-    for i, v in enumerate(p.ring):
-        unit = tuple(1 if j == i else 0 for j in range(len(p.ring)))
-        a = p.terms.get(unit)
-        if a is None:
-            continue
-        if any(e[i] and e != unit for e in p.terms):
-            continue
-        rest = Poly._raw(p.ring, {e: c for e, c in p.terms.items() if e != unit})
-        return v, a, rest
+def _linear_pivot(p: Poly) -> tuple[str, Poly] | None:
+    """The first ring variable v with p == a*v + rest, a constant and rest free of v, and its value -rest/a.
+
+    One scan over the terms: the degree-one terms are the candidates,
+    and a candidate's variable is ruled out when another term uses it.
+    The value is in p's ring.
+    """
+    units: dict[int, Expvec] = {}
+    others = []
+    for e in p.terms:
+        if sum(e) == 1:
+            units[e.index(1)] = e
+        else:
+            others.append(e)
+    for i in sorted(units):
+        if not any(e[i] for e in others):
+            unit = units[i]
+            k = -1 / p.terms[unit]
+            return p.ring[i], Poly._raw(p.ring, {e: c * k for e, c in p.terms.items() if e != unit})
     return None
 
 
@@ -130,46 +143,50 @@ def solve_system(eqs: list[Poly], ring: tuple[str, ...]) -> list[Assignment]:
 
     Raises SolutionFamily when infinitely many assignments work.
     """
-    eqs = [e.embed(ring) for e in eqs]
-    sols = _solve(eqs, ring)
+    live = [q for q in (e.embed(ring) for e in eqs) if q]
+    sols = [] if any(q.is_constant() for q in live) else _solve(live, ring)
     return sorted(
         sols, key=lambda s: tuple(s[v].sort_key() for v in ring)
     )
 
 
-def _solve(eqs: list[Poly], ring: tuple[str, ...]) -> list[Assignment]:
-    live = [e for e in eqs if e]
-    for e in live:
-        if e.is_constant():
-            return []
-    if not ring:
+def _solve(live: list[Poly], unknowns: tuple[str, ...]) -> list[Assignment]:
+    """The solutions in the unknowns of the equations live, none of them constant.
+
+    The unknowns are the ring variables not yet eliminated.  Every
+    equation stays in the ring that solve_system received, and the
+    eliminated variables no longer occur in it; only the Groebner step
+    moves the equations into the ring of the unknowns.
+    """
+    if not unknowns:
         return [{}]
     if not live:
-        raise SolutionFamily(f"variables {ring} are unconstrained")
+        raise SolutionFamily(f"variables {unknowns} are unconstrained")
 
-    for e in live:
+    for k, e in enumerate(live):
         piv = _linear_pivot(e)
         if piv is None:
             continue
-        v, a, rest = piv
-        value = rest.embed(_minus(ring, v)) * (-1 / a)  # rest is free of v
-        return _eliminate([q for q in live if q is not e], ring, v, [value])
+        v, value = piv
+        return _eliminate(live[:k] + live[k + 1 :], unknowns, v, [value])
 
     for e in live:
         uni = _as_univariate(e)
         if uni is None:
             continue
         v, coeffs = uni
-        return _eliminate(live, ring, v, univariate_roots(coeffs))
+        return _eliminate(live, unknowns, v, univariate_roots(coeffs))
 
-    gb = groebner_basis(live, GREVLEX)
+    gb = groebner_basis([e.embed(unknowns) for e in live], GREVLEX)
     if gb[0].is_constant():
         return []
     free = _unbounded_variable(gb)
     if free is not None:
         raise SolutionFamily(f"no univariate constraint isolates {free!r}")
-    roots = univariate_roots(minimal_polynomial(gb, Poly.var(ring, ring[-1])))
-    return _eliminate(gb, ring, ring[-1], roots)
+    last = unknowns[-1]
+    roots = univariate_roots(minimal_polynomial(gb, Poly.var(unknowns, last)))
+    ring = live[0].ring
+    return _eliminate([g.embed(ring) for g in gb], unknowns, last, roots)
 
 
 def _unbounded_variable(basis: list[Poly]) -> str | None:
@@ -186,23 +203,56 @@ def _unbounded_variable(basis: list[Poly]) -> str | None:
 
 
 def _eliminate(
-    eqs: list[Poly], ring: tuple[str, ...], var: str, values: list[Poly | GaussRat]
+    eqs: list[Poly], unknowns: tuple[str, ...], var: str, values: list[Poly | GaussRat]
 ) -> list[Assignment]:
     """Solutions of eqs with var set to each value: the roots, or the one pivot value.
 
-    A pivot value is a polynomial in the other variables, read off at
-    each solution of the substituted system.
+    The value goes only into the equations that use var, in their ring;
+    the others pass through as the same objects.  A substituted equation
+    that vanishes is dropped, and one that becomes a nonzero constant
+    leaves the value without solutions.  A pivot value is a polynomial
+    in the other unknowns, read off at each solution of the substituted
+    system.
     """
-    rest_ring = _minus(ring, var)
+    rest = tuple(v for v in unknowns if v != var)
+    uses = [q.uses(var) for q in eqs]
     out = []
     for value in values:
-        reduced = [q.substitute(var, value) for q in eqs]
-        for sol in _solve(reduced, rest_ring):
-            full = dict(sol)
-            full[var] = value.evaluate(sol) if isinstance(value, Poly) else value
-            out.append(full)
+        reduced = []
+        for q, used in zip(eqs, uses):
+            if used:
+                q = _put(q, var, value)
+                if q.is_constant():
+                    if q:
+                        break  # no solution with this value
+                    continue
+            reduced.append(q)
+        else:
+            for sol in _solve(reduced, rest):
+                full = dict(sol)
+                full[var] = value.evaluate(sol) if isinstance(value, Poly) else value
+                out.append(full)
     return out
 
 
-def _minus(ring: tuple[str, ...], var: str) -> tuple[str, ...]:
-    return tuple(v for v in ring if v != var)
+def _put(q: Poly, var: str, value: Poly | GaussRat) -> Poly:
+    """q with value for var, in q's ring; value is free of var.
+
+    A term c*m*var^k becomes c*m*value^k, each power of value computed once.
+    """
+    if not isinstance(value, Poly):
+        value = Poly.constant(q.ring, value)
+    i = q.ring.index(var)
+    out: dict[Expvec, GaussRat] = {}
+    powers = [None, value]
+    for e, c in q.terms.items():
+        k = e[i]
+        if not k:
+            _add_term(out, e, c)
+            continue
+        while len(powers) <= k:
+            powers.append(powers[-1] * value)
+        m = e[:i] + (0,) + e[i + 1 :]
+        for f, d in powers[k].terms.items():
+            _add_term(out, mono_mul(m, f), c * d)
+    return Poly._raw(q.ring, out)

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import poissonore
 from poissonore.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -91,6 +95,24 @@ def test_darboux(capsys):
     code, _, err = run(capsys, "darboux", "--delta", "x=2*y,y=-2*x", "--dmax", "2")
     assert code == 1
     assert "infinite solution family" in err
+
+
+def test_closed_stdout_ends_quietly_with_the_sigpipe_status():
+    # nobody reads the pipe: the write fails with EPIPE, which is neither a usage error nor output
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(poissonore.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "poissonore.cli", "example", "new", "--json"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 def test_shamsuddin(capsys):

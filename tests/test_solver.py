@@ -290,3 +290,160 @@ def test_univariate_roots_computes_a_gcd_only_for_a_repeated_factor(monkeypatch)
     assert calls == []
     assert univariate_roots(_coeff_list(simple * (t - 1))) == [GaussRat(1), GaussRat(2), GaussRat(3)]
     assert len(calls) == 1
+
+
+# -- planted systems: a triangular system, scrambled, against its points -------
+
+
+def _planted(rng: random.Random, ring: tuple[str, ...], kinds: list[str]):
+    """A scrambled triangular system in ring and its QQ(i) points.
+
+    kinds fixes the ring variables one by one from the first: "pivot"
+    (v = a polynomial in later variables with a square of a later
+    non-pivot variable in it), "split" (two or three constants), and
+    "tail", which must end kinds twice: the last two variables (p, q)
+    with q among two or three constants and p = L(q), given only through
+    p - L + p*F and F + p*(p - L + p*F) with F the product of the q - b,
+    so that neither equation has a pivot or a single variable.  The
+    points come from back-substitution.  Every row then gets a multiple
+    of a later row (pivot rows only, with a multiplier free of their
+    variable) and of an earlier row: both steps are unitriangular, so
+    the ideal does not change.
+    """
+    n = len(ring)
+    var = [Poly.var(ring, v) for v in ring]
+    rows: list[Poly] = [Poly.zero(ring)] * n
+    points: list[dict[str, GaussRat]] = [{}]
+    anchors: list[int] = []
+    k = n
+    if kinds[-1] == "tail":
+        k = n - 2
+        p, q = var[k], var[k + 1]
+        roots = rng.sample([GaussRat(b) for b in range(-3, 4)] + [I, -I], rng.randint(2, 3))
+        lift = rand_poly(rng, ring[k + 1 :], 2, terms=3).embed(ring)
+        f = Poly.one(ring)
+        for b in roots:
+            f = f * (q - Poly.constant(ring, b))
+        rows[k] = p - lift + p * f
+        rows[k + 1] = f + p * rows[k]
+        points = [{ring[k]: lift.evaluate({ring[k + 1]: b}), ring[k + 1]: b} for b in roots]
+        anchors = [k, k + 1]
+    for j in range(k - 1, -1, -1):
+        v = ring[j]
+        if kinds[j] == "split":
+            consts = rng.sample([GaussRat(c, d) for c in range(-2, 3) for d in (0, 1)], rng.randint(2, 3))
+            rows[j] = Poly.one(ring)
+            for c in consts:
+                rows[j] = rows[j] * (var[j] - Poly.constant(ring, c))
+            points = [{**pt, v: c} for pt in points for c in consts]
+            anchors.append(j)
+        else:
+            a = var[rng.choice(anchors)]
+            value = a * a * rand_gauss(rng, 3) + var[rng.randrange(j + 1, n)] * rand_gauss(rng, 2)
+            value = value + rand_gauss(rng, 3)
+            if not any(sum(e) == 2 for e in value.terms):
+                value = value + a * a
+            rows[j] = var[j] - value
+            points = [{**pt, v: value.evaluate(pt)} for pt in points]
+    for j in range(n - 1):  # a multiple of a later row onto each pivot row
+        if kinds[j] == "pivot" and rng.random() < 0.7:
+            m = rand_poly(rng, ring[j + 1 :], 1, terms=2).embed(ring)
+            rows[j] = rows[j] + m * rows[rng.randrange(j + 1, n)]
+    scrambled = list(rows)
+    for i in range(1, n):  # then a multiple of an earlier row onto each row
+        if rng.random() < 0.7:
+            scrambled[i] = scrambled[i] + rand_poly(rng, ring, 1, terms=2) * rows[rng.randrange(i)]
+    return scrambled, points
+
+
+def _spied_solve(monkeypatch, eqs, ring, seen):
+    """solve_system, noting non-affine pivot values, root splits and Groebner calls in seen."""
+    pivot, roots, basis = solve_module._linear_pivot, solve_module.univariate_roots, solve_module.groebner_basis
+
+    def spy_pivot(p):
+        out = pivot(p)
+        if out is not None and out[-1].total_degree() >= 2:  # the pivot value
+            seen.add("non-affine pivot")
+        return out
+
+    def spy_roots(coeffs):
+        out = roots(coeffs)
+        if len(out) >= 2:
+            seen.add("root split")
+        return out
+
+    def spy_basis(gens, order=GREVLEX):
+        seen.add("groebner")
+        return basis(gens, order)
+
+    monkeypatch.setattr(solve_module, "_linear_pivot", spy_pivot)
+    monkeypatch.setattr(solve_module, "univariate_roots", spy_roots)
+    monkeypatch.setattr(solve_module, "groebner_basis", spy_basis)
+    try:
+        return solve_system(eqs, ring)
+    finally:
+        monkeypatch.undo()
+
+
+def _as_points(sols, ring):
+    return sorted((tuple(s[v] for v in ring) for s in sols), key=lambda p: [c.sort_key() for c in p])
+
+
+def test_solve_system_finds_exactly_the_planted_points(monkeypatch):
+    rng = random.Random(2401)
+    seen: set[str] = set()
+    for case in range(24):
+        n = 3 + case % 4
+        ring = tuple(f"v{k}" for k in range(n))
+        tail = case % 2 == 0
+        body = n - 2 if tail else n - 1
+        kinds = [rng.choice(["pivot", "pivot", "split"]) for _ in range(body)]
+        kinds += ["tail", "tail"] if tail else ["split"]
+        eqs, points = _planted(rng, ring, kinds)
+        sols = _spied_solve(monkeypatch, eqs, ring, seen)
+        assert _as_points(sols, ring) == _as_points(points, ring), (case, kinds)
+        for s in sols:
+            assert all(not e.evaluate(s) for e in eqs)
+        # no planted point has a coordinate 5
+        assert solve_system(eqs + [Poly.var(ring, ring[-1]) - 5], ring) == []
+    assert seen == {"non-affine pivot", "root split", "groebner"}
+
+
+def test_solve_system_eliminates_in_one_ring(monkeypatch):
+    # the pivot chain works in the ring it was given and touches only the
+    # equations that use the variable (Poly.substitute would drop it from the ring)
+    rng = random.Random(2403)
+    ring = tuple(f"v{k}" for k in range(6))
+    eqs, points = _planted(rng, ring, ["pivot", "pivot", "split", "pivot", "split", "split"])
+    seen, untouched = [], []
+    solve, eliminate = solve_module._solve, solve_module._eliminate
+
+    def spy_solve(live, unknowns):
+        seen.extend(live)
+        return solve(live, unknowns)
+
+    def spy_eliminate(eqs, unknowns, var, values):
+        untouched.extend((len(seen), q) for q in eqs if not q.uses(var))
+        return eliminate(eqs, unknowns, var, values)
+
+    def refuse(*args):
+        raise AssertionError("the solver called Poly.substitute")
+
+    monkeypatch.setattr(solve_module, "_solve", spy_solve)
+    monkeypatch.setattr(solve_module, "_eliminate", spy_eliminate)
+    monkeypatch.setattr(Poly, "substitute", refuse)
+    sols = solve_system(eqs, ring)
+    assert _as_points(sols, ring) == _as_points(points, ring)
+    assert {e.ring for e in seen} == {ring}
+    # an equation free of the variable goes on as the same object
+    assert untouched and all(any(q is e for e in seen[start:]) for start, q in untouched)
+
+
+def test_solve_system_in_a_ring_of_36_unknowns(monkeypatch):
+    rng = random.Random(2402)
+    ring = tuple(f"u{k}" for k in range(36))
+    eqs, points = _planted(rng, ring, ["pivot"] * 32 + ["split", "pivot", "tail", "tail"])
+    seen: set[str] = set()
+    sols = _spied_solve(monkeypatch, eqs, ring, seen)
+    assert _as_points(sols, ring) == _as_points(points, ring)
+    assert seen == {"non-affine pivot", "root split", "groebner"}

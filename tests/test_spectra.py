@@ -147,6 +147,22 @@ def test_darboux_search_raises_on_families():
         darboux_search(_delta(x="2*y", y="-2*x"), 2)
 
 
+@pytest.mark.parametrize(
+    "images, dmax, message",
+    [
+        # delta = y*d/dx kills every y + c
+        ({"x": "y", "y": "0"}, 1, "darboux stratum with leading monomial y: variables ('u0',) are unconstrained"),
+        # delta(x^2 + c*y) = 2*(x^2 + c*y) for every c
+        ({"x": "x", "y": "2*y"}, 2, "darboux stratum with leading monomial x^2: variables ('u3',) are unconstrained"),
+    ],
+)
+def test_darboux_search_family_names_the_remaining_unknowns(images, dmax, message):
+    # the solver eliminates the other unknowns first; the message names the ones left free
+    with pytest.raises(SolutionFamily) as exc:
+        darboux_search(_delta(**images), dmax)
+    assert str(exc.value) == message
+
+
 def test_singular_locus():
     locus = singular_locus(_gwj())
     assert locus.resolved
